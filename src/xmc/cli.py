@@ -21,17 +21,7 @@ from . import tensor as t
 from .cluster import ClusterMap, build_cluster_map, build_label_reps
 from .corpus import Vocab, batch_iter, build_vocab, load_dataset
 from .encoder import encoder_grad_check
-from .errors import (
-    ConfigError,
-    ContractError,
-    DimensionError,
-    NumericError,
-    ParseError,
-    TrainingError,
-    TrainingStateError,
-    UsageError,
-    XmcError,
-)
+from .errors import ConfigError, ParseError, UsageError, XmcError
 from .predict import evaluate, predict_batch
 from .synth import make_synthetic_corpus
 from .trainer import (
@@ -49,7 +39,6 @@ GRAD_TOLERANCE = 1e-4
 DEFAULT_SEED = 7
 
 USAGE_ERRORS = (UsageError, ConfigError, ParseError)
-INTERNAL_ERRORS = (ContractError, DimensionError, TrainingStateError, TrainingError, NumericError)
 
 
 # ---------------------------------------------------------------------------
@@ -57,44 +46,60 @@ INTERNAL_ERRORS = (ContractError, DimensionError, TrainingStateError, TrainingEr
 
 
 def _read_config_file(path: Path) -> dict:
-    """key=value overrides, or the config block of a previously written manifest."""
+    """Typed overrides from key=value lines, or from the config block of a
+    previously written manifest."""
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
     if path.suffix == ".json":
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return payload.get("config", payload)
-    values: dict = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+        entries = [(str(path), key, value) for key, value in payload.get("config", payload).items()]
+    else:
+        entries = []
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            entries.append((f"{path}:{lineno}", key.strip(), value.strip()))
+    values = {}
+    for where, key, value in entries:
+        if key == "rank_target_invert":
+            # written by versions that had a debug-only inverted-target switch
+            if value is True or str(value).lower() in _TRUE:
+                raise UsageError(f"{where}: rank_target_invert=true is no longer supported")
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        values[key] = _coerce(where, key, value)
     return values
 
 
-_FIELD_TYPES = {
-    f.name: f.type for f in fields(TrainConfig)
-}
-_BOOL_FIELDS = {"decay_bias_norm", "rank_target_invert"}
+_FIELD_NAMES = {f.name for f in fields(TrainConfig)}
+_BOOL_FIELDS = {"decay_bias_norm"}
 _FLOAT_FIELDS = {"learning_rate", "weight_decay", "dropout", "block_dropout", "grad_clip"}
 _STR_FIELDS = {"preset", "sampling_mode", "bottleneck_act"}
+_TRUE = {"1", "true", "yes", "on"}
 
 
-def _coerce(key: str, value):
-    if key not in _FIELD_TYPES:
-        raise UsageError(f"unknown config key {key!r}")
+def _coerce(where: str, key: str, value):
+    if key not in _FIELD_NAMES:
+        raise UsageError(f"{where}: unknown config key {key!r}")
     if not isinstance(value, str):
         return value
     if key in _BOOL_FIELDS:
-        return value.lower() in {"1", "true", "yes", "on"}
-    if key in _FLOAT_FIELDS:
-        return None if value.lower() in {"none", ""} else float(value)
+        return value.lower() in _TRUE
     if key in _STR_FIELDS:
         return None if value.lower() == "none" else value
-    return None if value.lower() in {"none", ""} else int(value)
+    if value.lower() in {"none", ""}:
+        return None
+    kind = float if key in _FLOAT_FIELDS else int
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise UsageError(f"{where}: {key} must be {kind.__name__}, got {value!r}") from exc
 
 
 def resolve_train_config(args) -> TrainConfig:
@@ -102,8 +107,7 @@ def resolve_train_config(args) -> TrainConfig:
     if getattr(args, "preset", None):
         config = apply_preset(config, args.preset)
     if getattr(args, "config", None):
-        overrides = {k: _coerce(k, v) for k, v in _read_config_file(Path(args.config)).items()}
-        config = config_from_dict({**asdict(config), **overrides})
+        config = config_from_dict({**asdict(config), **_read_config_file(Path(args.config))})
     flag_map = {
         "epochs": "epochs",
         "batch_size": "batch_size",
@@ -203,9 +207,8 @@ def _load_run(ckpt_path: Path):
     manifest_path = ckpt_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"no manifest.json next to {ckpt_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    config = config_from_dict(manifest["config"])
-    artifacts = manifest["artifacts"]
+    config = config_from_dict(_read_config_file(manifest_path))
+    artifacts = json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]
     vocab = Vocab.load(_require_file(artifacts.get("vocab"), "vocab artifact"))
     cmap = ClusterMap.load(_require_file(artifacts.get("clusters"), "cluster map artifact"))
     bundle = load_bundle(ckpt_path, config, vocab.size, cmap)
@@ -509,9 +512,6 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except INTERNAL_ERRORS as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except XmcError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

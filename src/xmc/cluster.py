@@ -80,10 +80,17 @@ class ClusterMap:
             raise ParseError(f"{path}:1: header must be 'K L s seed'") from exc
         if len(lines) - 1 != k:
             raise ParseError(f"{path}: header says {k} clusters, file has {len(lines) - 1}")
-        members = [np.array([int(v) for v in line.split()], dtype=np.int64) for line in lines[1:]]
+        members = []
         assign = np.full(num_labels, -1, dtype=np.int64)
-        for cid, labels in enumerate(members):
-            assign[labels] = cid
+        for lineno, line in enumerate(lines[1:], 2):
+            try:
+                labels = np.array([int(v) for v in line.split()], dtype=np.int64)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: label ids must be integers") from exc
+            if len(labels) and (labels.min() < 0 or labels.max() >= num_labels):
+                raise ParseError(f"{path}:{lineno}: label id outside [0, {num_labels})")
+            assign[labels] = len(members)
+            members.append(labels)
         cmap = cls(assign, members, s, seed)
         cmap.validate()
         return cmap
@@ -227,7 +234,6 @@ def balanced_2means(reps: list[LabelRep], seed: int):
     """Split labels into two halves (sizes differ by at most one, extra left)."""
     if len(reps) < 2:
         raise ContractError(f"balanced_2means needs at least 2 labels, got {len(reps)}")
-    csr = _Csr(reps)
     rows = np.array([r.label for r in reps], dtype=np.int64)
     order = np.argsort(rows)
     rows = rows[order]

@@ -1,25 +1,31 @@
 """End-to-end inference and P@k evaluation.
 
-A label's final score is the product of its cluster's recall probability and
-its own rank probability; predictions are the top-K labels by that product.
-No positives are injected at inference, so fewer than K candidates may exist;
-short result lists are returned as-is and flagged.
+One batched path (``_score_batch``) encodes a batch once, samples each row's
+candidates from its top ``b_top`` clusters and ranks all rows' candidates as
+one padded block.  A label's fused score is its cluster's recall probability
+times its own rank probability.  ``predict_batch`` takes the top K by that
+score; ``ensemble_predict`` averages it over the union of the members'
+candidates (a member that did not recall a label adds 0); ``evaluate`` takes
+cluster recall from the clusters each member just ranked.  No positives are
+injected at inference, so fewer than K candidates may exist; short result
+lists are returned as-is and flagged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from . import tensor as t
 from .cluster import ClusterMap
 from .corpus import XmcDataset, batch_iter
 from .encoder import encode
 from .errors import ConfigError
-from .rank import gather_embeddings, rank_scores
-from .recall import recall_scores, top_clusters
+from .rank import gather_embeddings, pad_candidates, rank_scores
+from .recall import recall_scores, sample_candidates
+# the benchmark's tracer (perfbench/spans.py) wraps top_clusters under this module's name
+from .recall import top_clusters  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trainer import ModelBundle
@@ -30,6 +36,8 @@ class Prediction:
     labels: np.ndarray  # descending fused score, ties by ascending label id
     scores: np.ndarray
     short: bool = False  # fewer than K candidates were available
+    # per member model: the cluster of every candidate it ranked
+    recalled: list[np.ndarray] = field(default_factory=list)
 
     def as_line(self) -> str:
         return " ".join(f"{l}:{s:.6g}" for l, s in zip(self.labels, self.scores))
@@ -58,22 +66,20 @@ class EvalReport:
         return " ".join(parts)
 
 
-def _fused_candidates(bundle: "ModelBundle", rep_row, cluster_probs: np.ndarray, b_top: int):
-    """(labels, fused scores) over the candidates of the top-b_top clusters."""
-    cmap = bundle.cluster_map
-    chosen = top_clusters(cluster_probs, b_top)
-    labels = np.concatenate([cmap.members[c] for c in chosen])
-    recall_part = np.concatenate(
-        [np.full(len(cmap.members[c]), cluster_probs[c]) for c in chosen]
-    )
-    gathered = gather_embeddings(bundle.discriminator.label_emb, labels)
-    rank_part = rank_scores(rep_row, gathered, bundle.discriminator, bundle.config.bottleneck_act).data
-    return labels, recall_part * rank_part
+def _score_batch(view: "ModelBundle", token_ids: np.ndarray, mask: np.ndarray, b_top: int):
+    """Per row of a padded batch: (candidate set, fused score of each candidate)."""
+    rep = encode(token_ids, mask, view.enc_config, view.params, training=False, rng=view.rng)
+    cluster_probs = recall_scores(rep, view.generator).data
+    sets = sample_candidates(cluster_probs, view.cluster_map, b_top)
+    ids, _, _ = pad_candidates(sets)
+    gathered = gather_embeddings(view.discriminator.label_emb, ids)
+    rank_probs = rank_scores(rep, gathered, view.discriminator, view.config.bottleneck_act).data
+    return [(cs, cluster_probs[row, cs.clusters] * rank_probs[row, : len(cs)]) for row, cs in enumerate(sets)]
 
 
-def _top_k(labels: np.ndarray, fused: np.ndarray, k: int) -> Prediction:
+def _top_k(labels: np.ndarray, fused: np.ndarray, k: int, recalled: list[np.ndarray]) -> Prediction:
     order = np.lexsort((labels, -fused))[:k]
-    return Prediction(labels[order], fused[order], short=len(order) < k)
+    return Prediction(labels[order], fused[order], short=len(order) < k, recalled=recalled)
 
 
 def predict_batch(
@@ -90,13 +96,7 @@ def predict_batch(
     view = bundle.inference_params(use_swa)
     if not 1 <= b_top <= view.cluster_map.num_clusters:
         raise ConfigError(f"b_top={b_top} outside [1, {view.cluster_map.num_clusters}]")
-    rep = encode(token_ids, mask, view.enc_config, view.params, training=False, rng=view.rng)
-    cluster_probs = recall_scores(rep, view.generator).data
-    out = []
-    for i in range(token_ids.shape[0]):
-        labels, fused = _fused_candidates(view, t.take(rep, i, axis=0), cluster_probs[i], b_top)
-        out.append(_top_k(labels, fused, k))
-    return out
+    return [_top_k(cs.labels, fused, k, [cs.clusters]) for cs, fused in _score_batch(view, token_ids, mask, b_top)]
 
 
 def ensemble_predict(
@@ -107,26 +107,25 @@ def ensemble_predict(
     k: int,
     use_swa: bool | None = None,
 ) -> list[Prediction]:
-    """Average fused per-label scores across bundles (absent labels score 0)."""
+    """Average fused per-label scores across bundles (absent labels score 0).
+
+    Each member clamps ``b_top`` to its own cluster count.
+    """
     if not bundles:
         raise ConfigError("ensemble needs at least one bundle")
-    num_labels = bundles[0].num_labels
-    if any(b.num_labels != num_labels for b in bundles):
+    if any(b.num_labels != bundles[0].num_labels for b in bundles):
         raise ConfigError("ensemble bundles must share the label space")
-    batch = token_ids.shape[0]
-    totals = np.zeros((batch, num_labels))
+    members = []
     for bundle in bundles:
         view = bundle.inference_params(use_swa)
-        rep = encode(token_ids, mask, view.enc_config, view.params, training=False, rng=view.rng)
-        cluster_probs = recall_scores(rep, view.generator).data
-        for i in range(batch):
-            labels, fused = _fused_candidates(view, t.take(rep, i, axis=0), cluster_probs[i], min(b_top, view.cluster_map.num_clusters))
-            totals[i, labels] += fused
-    totals /= len(bundles)
+        members.append(_score_batch(view, token_ids, mask, min(b_top, view.cluster_map.num_clusters)))
     out = []
-    for i in range(batch):
-        present = np.flatnonzero(totals[i] > 0.0)
-        out.append(_top_k(present, totals[i, present], k))
+    for rows in zip(*members):
+        # summed in member order, as a dense per-label accumulator would
+        present, slot = np.unique(np.concatenate([cs.labels for cs, _ in rows]), return_inverse=True)
+        totals = np.bincount(slot, weights=np.concatenate([fused for _, fused in rows])) / len(bundles)
+        scored = totals > 0.0
+        out.append(_top_k(present[scored], totals[scored], k, [cs.clusters for cs, _ in rows]))
     return out
 
 
@@ -138,15 +137,12 @@ def precision_at_k(predicted: Iterable[int], truth: set[int], k: int) -> float:
     return sum(1 for label in top if label in truth) / k
 
 
-def cluster_recall(
-    scores_row: np.ndarray, truth: Iterable[int], cmap: ClusterMap, b_top: int
-) -> float:
-    """Fraction of positive labels whose cluster ranks in the top b_top."""
+def cluster_recall(recalled: np.ndarray, truth: Iterable[int], cmap: ClusterMap) -> float:
+    """Fraction of positive labels whose cluster is among the ``recalled`` cluster ids."""
     truth = list(truth)
     if not truth:
         return 1.0
-    chosen = set(top_clusters(np.asarray(scores_row), b_top).tolist())
-    covered = sum(1 for label in truth if int(cmap.assign[label]) in chosen)
+    covered = int(np.isin(cmap.assign[truth], recalled).sum())
     return covered / len(truth)
 
 
@@ -175,14 +171,9 @@ def evaluate(
             preds = predict_batch(batch.token_ids, batch.mask, views[0], b_top, max(ks), use_swa=False)
         else:
             preds = ensemble_predict(views, batch.token_ids, batch.mask, b_top, max(ks), use_swa=False)
-        for view in views:
-            rep = encode(batch.token_ids, batch.mask, view.enc_config, view.params, training=False, rng=view.rng)
-            probs = recall_scores(rep, view.generator).data
-            for i, labels in enumerate(batch.labels):
-                if labels:
-                    frac = cluster_recall(probs[i], labels, view.cluster_map, min(b_top, view.cluster_map.num_clusters))
-                    covered += frac * len(labels) / len(views)
         for pred, labels in zip(preds, batch.labels):
+            for view, recalled in zip(views, pred.recalled):
+                covered += cluster_recall(recalled, labels, view.cluster_map) * len(labels) / len(views)
             total_pos += len(labels)
             truth = set(labels)
             for k in ks:

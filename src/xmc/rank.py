@@ -1,13 +1,16 @@
 """Label-rank head: bottleneck projection plus learned label embeddings.
 
-Scores each candidate label by the sigmoid of the dot product between its
-embedding row and the bottleneck activation of the text representation.
-The bottleneck keeps the head's size at L*b + b*(rep_width+1) parameters.
+One batched path scores candidates for training, prediction, evaluation and
+ensembles: the batch's candidate sets are padded into one (B, n_max) block,
+their embedding rows are gathered at once, and one batched matmul against the
+bottleneck activations of the text representations gives every logit.  The
+bottleneck keeps the head's size at L*b + b*(rep_width+1) parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -48,49 +51,54 @@ def init_discriminator(
     )
 
 
-def gather_embeddings(label_emb: Tensor, candidates: CandidateSet | np.ndarray) -> Tensor:
-    """Rows of the embedding matrix for the candidate labels (gradient scatters back)."""
-    ids = candidates.labels if isinstance(candidates, CandidateSet) else np.asarray(candidates)
-    if len(ids) and (ids.min() < 0 or ids.max() >= label_emb.shape[0]):
-        raise ContractError(
-            f"candidate label id outside [0, {label_emb.shape[0]})"
-        )
+def pad_candidates(sets: Sequence[CandidateSet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(label ids, validity mask, positive flags), each (B, n_max).
+
+    Padded slots hold label 0, mask False and flag False.
+    """
+    lengths = np.array([len(cs) for cs in sets])
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    ids = np.zeros(keep.shape, dtype=np.int64)
+    flags = np.zeros(keep.shape, dtype=bool)
+    ids[keep] = np.concatenate([cs.labels for cs in sets])
+    flags[keep] = np.concatenate([cs.is_positive for cs in sets])
+    return ids, keep, flags
+
+
+def gather_embeddings(label_emb: Tensor, ids: np.ndarray) -> Tensor:
+    """Embedding rows for an array of label ids (gradient scatters back)."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= label_emb.shape[0]):
+        raise ContractError(f"candidate label id outside [0, {label_emb.shape[0]})")
     return t.embedding(label_emb, ids)
 
 
-def bottleneck(rep_row: Tensor, params: DiscriminatorParams, activation: str = "sigmoid") -> Tensor:
-    """Project a single representation row to (embed_dim, 1)."""
-    if rep_row.ndim != 1 or rep_row.shape[0] != params.bottleneck_w.shape[1]:
-        raise DimensionError(
-            f"bottleneck: rep shape {rep_row.shape} vs weight {params.bottleneck_w.shape}"
-        )
-    pre = t.add(
-        t.matmul(params.bottleneck_w, t.reshape(rep_row, (rep_row.shape[0], 1))),
-        t.reshape(params.bottleneck_b, (params.embed_dim, 1)),
-    )
-    if activation == "sigmoid":
-        return t.sigmoid(pre)
-    if activation == "relu":
-        return t.relu(pre)
-    raise ConfigError(f"unknown bottleneck activation {activation!r}")
-
-
 def rank_scores(
-    rep_row: Tensor,
+    rep: Tensor,
     gathered: Tensor,
     params: DiscriminatorParams,
     activation: str = "sigmoid",
 ) -> Tensor:
-    """Per-candidate probabilities for one instance, shape (n,)."""
-    h = bottleneck(rep_row, params, activation)
-    logits = t.matmul(gathered, h)
-    return t.reshape(t.sigmoid(logits), (gathered.shape[0],))
+    """Candidate probabilities (B, n_max) from reps (B, w) and gathered rows (B, n_max, e)."""
+    if rep.ndim != 2 or rep.shape[1] != params.bottleneck_w.shape[1]:
+        raise DimensionError(f"rank_scores: rep shape {rep.shape} vs bottleneck {params.bottleneck_w.shape}")
+    pre = t.add(t.matmul(rep, t.transpose(params.bottleneck_w, (1, 0))), params.bottleneck_b)
+    if activation not in ("sigmoid", "relu"):
+        raise ConfigError(f"unknown bottleneck activation {activation!r}")
+    h = t.sigmoid(pre) if activation == "sigmoid" else t.relu(pre)
+    batch, n_max = gathered.shape[:2]
+    logits = t.matmul(gathered, t.reshape(h, (batch, params.embed_dim, 1)))
+    return t.reshape(t.sigmoid(logits), (batch, n_max))
 
 
-def rank_loss(scores: Tensor, is_positive: np.ndarray, invert_targets: bool = False) -> Tensor:
-    """Summed BCE with positives as target 1 (``invert_targets`` is debug-only)."""
+def rank_loss(scores: Tensor, is_positive: np.ndarray, keep: np.ndarray) -> Tensor:
+    """BCE with positives as target 1, summed over candidates, averaged over the batch.
+
+    Slots where ``keep`` is False are padding and add no loss and no gradient.
+    """
     flags = np.asarray(is_positive, dtype=bool)
-    if flags.shape != scores.shape:
-        raise DimensionError(f"rank_loss: {scores.shape} scores vs {flags.shape} flags")
-    targets = (~flags if invert_targets else flags).astype(np.float64)
-    return t.bce_loss(scores, targets)
+    keep = np.asarray(keep, dtype=bool)
+    if scores.ndim != 2 or flags.shape != scores.shape or keep.shape != scores.shape:
+        raise DimensionError(f"rank_loss: {scores.shape} scores vs {flags.shape} flags, {keep.shape} mask")
+    # a padded slot scores 0 against target 0, which costs exactly nothing
+    return t.bce_loss(t.masked_fill(scores, keep, 0.0), flags & keep)

@@ -65,23 +65,20 @@ class CandidateSet:
         return len(self.labels)
 
 
-_sample_calls = 0
-
-
-def sample_call_count() -> int:
-    return _sample_calls
-
-
-def reset_sample_call_count() -> None:
-    global _sample_calls
-    _sample_calls = 0
-
-
 def top_clusters(scores_row: np.ndarray, b_top: int) -> np.ndarray:
-    """Indices of the b_top highest-scoring clusters, ties by ascending id."""
-    k = len(scores_row)
-    order = np.lexsort((np.arange(k), -scores_row))
-    return order[:b_top]
+    """Indices of the b_top highest-scoring clusters, ties by ascending id.
+
+    O(K): a partition finds the b_top-th highest score, and only the clusters
+    scoring at least that much are sorted.
+    """
+    neg = -np.asarray(scores_row)
+    candidates = np.arange(len(neg))
+    if b_top < len(neg):
+        cut = np.partition(neg, b_top - 1)[b_top - 1]
+        # every tie at the cut stays a candidate; NaN compares false, so a NaN
+        # cut keeps every cluster and NaN scores sort last, as in a full sort
+        candidates = np.flatnonzero(~(neg > cut))
+    return candidates[np.argsort(neg[candidates], kind="stable")[:b_top]]
 
 
 def sample_candidates(
@@ -95,9 +92,6 @@ def sample_candidates(
     Recomputed from the given scores on every call; nothing is cached, which
     is what makes training-time sampling dynamic.
     """
-    global _sample_calls
-    _sample_calls += 1
-
     scores = np.asarray(scores)
     if scores.ndim == 1:
         scores = scores[None, :]
@@ -113,11 +107,7 @@ def sample_candidates(
     out = []
     for i in range(scores.shape[0]):
         chosen = top_clusters(scores[i], b_top)
-        labels = (
-            np.concatenate([cmap.members[c] for c in chosen])
-            if len(chosen)
-            else np.empty(0, np.int64)
-        )
+        labels = np.concatenate([cmap.members[c] for c in chosen])
         if positives is not None:
             pos = np.array(sorted(set(positives[i])), dtype=np.int64)
             missing = pos[~np.isin(pos, labels)]

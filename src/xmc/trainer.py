@@ -1,10 +1,11 @@
 """Joint training of encoder, recall head and rank head.
 
 One training step: encode the batch, score all clusters, sample candidate
-labels from the current scores (with positives injected), rank candidates,
-and take one AdamW step on the sum of the recall and rank losses.  The
-encoder receives gradient from both losses.  Static-sampling mode freezes
-candidate sets built once from a model snapshot.
+labels from the current scores (with positives injected), score the whole
+batch's candidates as one padded block on the batched rank path that
+prediction shares, and take one AdamW step on the sum of the recall and rank
+losses.  The encoder receives gradient from both losses.  Static-sampling
+mode freezes candidate sets built once from a model snapshot.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .corpus import Batch, XmcDataset, batch_iter
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .errors import ConfigError, ContractError, TrainingError
 from .optim import OptimizerState, SwaState, adamw_step, clip_grads, is_decay_exempt, swa_update
-from .rank import DiscriminatorParams, gather_embeddings, init_discriminator, rank_loss, rank_scores
+from .rank import DiscriminatorParams, gather_embeddings, init_discriminator, pad_candidates, rank_loss, rank_scores
 from .recall import CandidateSet, GeneratorParams, init_generator, recall_loss, recall_scores, sample_candidates
 from .tensor import Tensor
 
@@ -57,7 +58,6 @@ class TrainConfig:
     grad_clip: float | None = 5.0
     decay_bias_norm: bool = False  # literal reading: decay biases/norm weights too
     bottleneck_act: str = "sigmoid"
-    rank_target_invert: bool = False  # debug-only inverted rank targets
 
     def resolved_swa_start(self) -> int:
         return self.swa_start_epoch if self.swa_start_epoch is not None else self.epochs // 2 + 1
@@ -246,14 +246,11 @@ def joint_losses(
             raise ContractError("dynamic sampling requires b_top")
         candidates = sample_candidates(scores.data, cmap, b_top, positives=batch.labels)
 
-    per_instance = []
-    for i, cs in enumerate(candidates):
-        gathered = gather_embeddings(bundle.discriminator.label_emb, cs)
-        row = t.take(rep, i, axis=0)
-        probs = rank_scores(row, gathered, bundle.discriminator, config.bottleneck_act)
-        per_instance.append(rank_loss(probs, cs.is_positive, config.rank_target_invert))
-    loss_d = t.scale(t.add_n(per_instance), 1.0 / len(candidates))
-    total = t.add(loss_g, loss_d)
+    ids, keep, flags = pad_candidates(candidates)
+    gathered = gather_embeddings(bundle.discriminator.label_emb, ids)
+    probs = rank_scores(rep, gathered, bundle.discriminator, config.bottleneck_act)
+    loss_d = rank_loss(probs, flags, keep)
+    total = t.add_n([loss_g, loss_d])
     return total, loss_g, loss_d, candidates
 
 

@@ -63,6 +63,7 @@ def test_criterion_1_gradient_fidelity():
         assert elapsed < 30.0
 
 
+@pytest.mark.slow
 def test_criterion_2_clustering_invariants():
     with criterion(2, "200 random cluster maps: size bound, inversion, determinism in <60s"):
         started = time.perf_counter()
@@ -206,6 +207,7 @@ def test_criterion_5_exhaustive_ranking_equivalence():
         assert elapsed < 30.0
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_convergence():
     with criterion(6, "synthetic corpus: test P@1 >= 0.95 and cluster_recall@3 >= 0.99 in <10min"):
         started = time.perf_counter()
@@ -230,6 +232,7 @@ def test_criterion_6_synthetic_convergence():
         assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_harness(tmp_path):
     with criterion(7, "ablate reports dynamic-vs-static and depth results; dynamic P@1 >= static P@1 - 0.02"):
         from xmc.cli import main

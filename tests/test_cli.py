@@ -120,6 +120,25 @@ def test_train_with_corrupt_cluster_map_exit_3(tmp_path, corpus_files):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "flag, name, content, line",
+    [
+        ("--config", "bad_int.txt", "batch_size=8\nepochs=abc\n", 2),
+        ("--config", "bad.json", '{\n  "config": {\n    "epochs": 2,\n  }\n}\n', 4),
+        ("--clusters", "out_of_range.txt", "2 8 4 0\n0 1 2 3\n4 5 6 9\n", 3),
+        ("--clusters", "non_integer.txt", "2 8 4 0\n0 1 x 3\n4 5 6 7\n", 2),
+    ],
+)
+def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, capsys, flag, name, content, line):
+    bad = tmp_path / name
+    bad.write_text(content)
+    code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
+                 "--text", str(corpus_files["train_text"]),
+                 "--out-dir", str(tmp_path / "r"), flag, str(bad), *TINY_FLAGS])
+    assert code == 2
+    assert f"{bad}:{line}:" in capsys.readouterr().err
+
+
 def test_train_missing_out_dir_exit_2(corpus_files):
     code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
                  "--text", str(corpus_files["train_text"]), *TINY_FLAGS])
@@ -206,6 +225,19 @@ def test_manifest_is_a_valid_config_source(tmp_path, trained_run, corpus_files):
     assert config.epochs == 2
     assert config.hidden == 16
     assert config.seed == 5  # manifest seed survives when no --seed flag given
+
+
+def test_manifest_with_retired_rank_target_invert(tmp_path, trained_run):
+    manifest = json.loads((trained_run / "manifest.json").read_text())
+    parser = build_parser()
+    for value, loads in ((False, True), (True, False)):
+        manifest["config"]["rank_target_invert"] = value
+        path = tmp_path / f"manifest_{value}.json"
+        path.write_text(json.dumps(manifest))
+        if loads:
+            assert resolve_train_config(parser.parse_args(["train", "--config", str(path)])).epochs == 2
+        else:
+            assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "r")]) == 2
 
 
 def test_preset_values_resolved():

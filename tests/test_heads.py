@@ -16,8 +16,6 @@ from xmc.recall import (
     init_generator,
     recall_loss,
     recall_scores,
-    reset_sample_call_count,
-    sample_call_count,
     sample_candidates,
     top_clusters,
 )
@@ -25,6 +23,7 @@ from xmc.rank import (
     DiscriminatorParams,
     gather_embeddings,
     init_discriminator,
+    pad_candidates,
     rank_loss,
     rank_scores,
 )
@@ -162,14 +161,21 @@ def test_sample_candidates_dynamic_recomputation():
     assert after.labels.tolist() == [6, 7]
 
 
-def test_sample_call_counter():
-    reset_sample_call_count()
-    cmap = _map_of_pairs()
-    sample_candidates(np.zeros(4), cmap, b_top=1)
-    sample_candidates(np.zeros(4), cmap, b_top=1)
-    assert sample_call_count() == 2
-    reset_sample_call_count()
-    assert sample_call_count() == 0
+def _lexsort_top_clusters(scores_row, b_top):
+    """Reference: full O(K log K) sort by (score desc, id asc)."""
+    return np.lexsort((np.arange(len(scores_row)), -scores_row))[:b_top]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, math.nan]), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_top_clusters_matches_full_sort_reference(scores, data):
+    # few distinct values, so ties at the cut are common
+    scores = np.array(scores)
+    b_top = data.draw(st.integers(1, len(scores)))
+    assert top_clusters(scores, b_top).tolist() == _lexsort_top_clusters(scores, b_top).tolist()
 
 
 @settings(max_examples=50, deadline=None)
@@ -233,9 +239,11 @@ def test_gather_out_of_range():
 def test_rank_scores_zero_embeddings_half():
     disc = _disc()
     disc.label_emb.data[:] = 0.0
-    rep = t.constant(np.random.default_rng(0).normal(size=6))
-    gathered = gather_embeddings(disc.label_emb, np.array([0, 3, 7]))
-    assert np.allclose(rank_scores(rep, gathered, disc).data, 0.5)
+    rep = t.constant(np.random.default_rng(0).normal(size=(2, 6)))
+    gathered = gather_embeddings(disc.label_emb, np.array([[0, 3, 7], [1, 2, 0]]))
+    scores = rank_scores(rep, gathered, disc).data
+    assert scores.shape == (2, 3)
+    assert np.allclose(scores, 0.5)
 
 
 def test_rank_scores_all_ones_row_oracle():
@@ -245,50 +253,81 @@ def test_rank_scores_all_ones_row_oracle():
     disc.bottleneck_w.data[:] = 0.0
     disc.bottleneck_b.data[:] = 0.0
     disc.label_emb.data[0] = 1.0
-    rep = t.constant(np.random.default_rng(0).normal(size=6))
-    gathered = gather_embeddings(disc.label_emb, np.array([0]))
-    score = float(rank_scores(rep, gathered, disc).data[0])
+    rep = t.constant(np.random.default_rng(0).normal(size=(1, 6)))
+    gathered = gather_embeddings(disc.label_emb, np.array([[0]]))
+    score = float(rank_scores(rep, gathered, disc).data[0, 0])
     assert score == pytest.approx(1.0 / (1.0 + math.exp(-d / 2)), rel=1e-6)
 
 
 def test_rank_scores_decoupled_from_rep_when_w_zero():
     disc = _disc()
     disc.bottleneck_w.data[:] = 0.0
-    gathered = gather_embeddings(disc.label_emb, np.array([1, 2]))
+    gathered = gather_embeddings(disc.label_emb, np.array([[1, 2]]))
     rng = np.random.default_rng(1)
-    a = rank_scores(t.constant(rng.normal(size=6)), gathered, disc).data
-    b = rank_scores(t.constant(rng.normal(size=6) * 10), gathered, disc).data
+    a = rank_scores(t.constant(rng.normal(size=(1, 6))), gathered, disc).data
+    b = rank_scores(t.constant(rng.normal(size=(1, 6)) * 10), gathered, disc).data
     assert np.allclose(a, b)
 
 
 def test_rank_scores_candidate_permutation_equivariance():
     disc = _disc()
-    rep = t.constant(np.random.default_rng(2).normal(size=6))
-    ids = np.array([1, 4, 6])
+    rep = t.constant(np.random.default_rng(2).normal(size=(1, 6)))
+    ids = np.array([[1, 4, 6]])
     base = rank_scores(rep, gather_embeddings(disc.label_emb, ids), disc).data
     perm = np.array([2, 0, 1])
-    permuted = rank_scores(rep, gather_embeddings(disc.label_emb, ids[perm]), disc).data
-    assert np.allclose(permuted, base[perm])
+    permuted = rank_scores(rep, gather_embeddings(disc.label_emb, ids[:, perm]), disc).data
+    assert np.allclose(permuted, base[:, perm])
+
+
+
+def _row(values):
+    """One batch row of scores with every slot valid."""
+    scores = t.constant(np.array([values]))
+    return scores, np.ones(scores.shape, dtype=bool)
 
 
 def test_rank_loss_symmetry_case():
-    scores = t.constant(np.full(6, 0.5))
-    loss = float(rank_loss(scores, np.array([1, 0, 0, 0, 0, 0], dtype=bool)).data)
+    scores, keep = _row([0.5] * 6)
+    loss = float(rank_loss(scores, np.array([[1, 0, 0, 0, 0, 0]], dtype=bool), keep).data)
     assert loss == pytest.approx(6 * math.log(2), rel=1e-6)
 
 
 def test_rank_loss_perfect_near_zero():
-    scores = t.constant(np.array([1 - 1e-9, 1e-9]))
-    loss = float(rank_loss(scores, np.array([True, False])).data)
+    scores, keep = _row([1 - 1e-9, 1e-9])
+    loss = float(rank_loss(scores, np.array([[True, False]]), keep).data)
     assert loss == pytest.approx(0.0, abs=1e-6)
 
 
 def test_rank_loss_scalar_oracle_and_inversion():
-    scores = t.constant(np.array([0.9, 0.1]))
-    flags = np.array([True, False])
-    assert float(rank_loss(scores, flags).data) == pytest.approx(0.2107, abs=2e-4)
-    inverted = float(rank_loss(scores, flags, invert_targets=True).data)
+    scores, keep = _row([0.9, 0.1])
+    flags = np.array([[True, False]])
+    assert float(rank_loss(scores, flags, keep).data) == pytest.approx(0.2107, abs=2e-4)
+    inverted = float(rank_loss(scores, ~flags, keep).data)
     assert inverted == pytest.approx(-2 * math.log(0.1), rel=1e-3)
+
+
+def test_rank_loss_padding_adds_no_loss_or_gradient():
+    # row 0 has two candidates, row 1 three; the padded slot scores 0.9 and is
+    # flagged positive, and must still count for nothing
+    sets = [
+        CandidateSet(np.array([3, 5]), np.array([True, False]), np.array([1, 2])),
+        CandidateSet(np.array([1, 4, 6]), np.array([False, True, False]), np.array([0, 2, 3])),
+    ]
+    ids, keep, flags = pad_candidates(sets)
+    assert ids.tolist() == [[3, 5, 0], [1, 4, 6]]
+    assert keep.tolist() == [[True, True, False], [True, True, True]]
+    assert flags.tolist() == [[True, False, False], [False, True, False]]
+    probs = t.param(np.array([[0.8, 0.3, 0.9], [0.2, 0.7, 0.4]]))
+    with t.record() as tape:
+        loss = rank_loss(probs, flags | ~keep, keep)
+        tape.backward(loss)
+    rows = [
+        t.bce_loss(t.constant(np.array([0.8, 0.3])), np.array([1.0, 0.0])),
+        t.bce_loss(t.constant(np.array([0.2, 0.7, 0.4])), np.array([0.0, 1.0, 0.0])),
+    ]
+    assert float(loss.data) == pytest.approx((float(rows[0].data) + float(rows[1].data)) / 2, rel=1e-12)
+    assert probs.grad[0, 2] == 0.0
+    assert np.all(probs.grad[keep] != 0.0)
 
 
 def test_discriminator_param_count_formula():

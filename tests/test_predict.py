@@ -18,6 +18,7 @@ from xmc.predict import (
     precision_at_k,
     predict_batch,
 )
+from xmc.recall import top_clusters
 from xmc.trainer import TrainConfig, init_bundle
 
 
@@ -195,19 +196,19 @@ def _toy_map():
 
 def test_cluster_recall_exhaustive_is_one():
     cmap = _toy_map()
-    assert cluster_recall(np.array([0.1, 0.2, 0.3, 0.4]), [0, 3, 6], cmap, b_top=4) == 1.0
+    assert cluster_recall(top_clusters(np.array([0.1, 0.2, 0.3, 0.4]), 4), [0, 3, 6], cmap) == 1.0
 
 
 def test_cluster_recall_single_cluster_covered():
     cmap = _toy_map()
     scores = np.array([0.9, 0.1, 0.1, 0.1])
-    assert cluster_recall(scores, [0, 1], cmap, b_top=1) == 1.0
+    assert cluster_recall(top_clusters(scores, 1), [0, 1], cmap) == 1.0
 
 
 def test_cluster_recall_half_covered():
     cmap = _toy_map()
     scores = np.array([0.9, 0.1, 0.1, 0.1])
-    assert cluster_recall(scores, [0, 7], cmap, b_top=1) == 0.5
+    assert cluster_recall(top_clusters(scores, 1), [0, 7], cmap) == 0.5
 
 
 # ---------------------------------------------------------------------------

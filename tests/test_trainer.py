@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from xmc import recall as recall_mod
 from xmc import tensor as t
+from xmc import trainer as trainer_mod
 from xmc.cluster import ClusterMap
 from xmc.corpus import Document, XmcDataset, Vocab, batch_iter
 from xmc.errors import ConfigError, TrainingStateError
 from xmc.optim import swa_update
-from xmc.recall import reset_sample_call_count, sample_call_count
 from xmc.synth import corpus_datasets, make_synthetic_corpus
 from xmc.trainer import (
     PRESETS,
@@ -210,24 +209,36 @@ def test_static_cache_first_step_equivalence():
         assert np.array_equal(cache.sets[idx].is_positive, cs.is_positive)
 
 
-def test_static_mode_never_resamples():
+def _count_sample_calls(monkeypatch) -> list:
+    calls = []
+    inner = trainer_mod.sample_candidates
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "sample_candidates", counting)
+    return calls
+
+
+def test_static_mode_never_resamples(monkeypatch):
     config, ds, bundle = micro_setup(sampling_mode="static")
     cache = build_static_cache(ds, bundle, config)
-    reset_sample_call_count()
+    calls = _count_sample_calls(monkeypatch)
     for epoch in range(2):
         for batch in batch_iter(ds, config.batch_size, seed=config.seed, epoch=epoch):
             train_step(batch, bundle, config, b_top=2, cache=cache)
-    assert sample_call_count() == 0
+    assert len(calls) == 0
 
 
-def test_dynamic_mode_resamples_every_step():
+def test_dynamic_mode_resamples_every_step(monkeypatch):
     config, ds, bundle = micro_setup()
-    reset_sample_call_count()
+    calls = _count_sample_calls(monkeypatch)
     steps = 0
     for batch in batch_iter(ds, config.batch_size, seed=config.seed, epoch=0):
         train_step(batch, bundle, config, b_top=2)
         steps += 1
-    assert sample_call_count() == steps
+    assert len(calls) == steps
 
 
 # ---------------------------------------------------------------------------
