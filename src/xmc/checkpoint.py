@@ -8,6 +8,7 @@ raw parameter name suffixed ``.swa``.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -20,18 +21,30 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Write records sorted by name (keeps identical states byte-identical)."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(np.asarray(tensors[name]), dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    """Write records sorted by name (keeps identical states byte-identical).
+
+    The file is written under a temporary name in the target directory and
+    then renamed over ``path``, so a reader sees the old file or the whole new
+    one, never a partial write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(np.asarray(tensors[name]), dtype="<f4")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.reshape(-1).data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -55,7 +55,10 @@ def _read_config_file(path: Path) -> dict:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
-        entries = [(str(path), key, value) for key, value in payload.get("config", payload).items()]
+        block = payload.get("config", payload) if isinstance(payload, dict) else payload
+        if not isinstance(block, dict):
+            raise UsageError(f"{path}:1: expected a JSON object of config values, got {json.dumps(block)[:40]}")
+        entries = [(str(path), key, value) for key, value in block.items()]
     else:
         entries = []
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):

@@ -61,14 +61,21 @@ def verify_mode(enabled: bool = True):
 
 
 class Tensor:
-    """A dense row-major array plus an optional same-shape grad accumulator."""
+    """A dense row-major array plus an optional same-shape grad accumulator.
 
-    __slots__ = ("data", "grad", "requires_grad")
+    ``grad_rows`` is a hint kept next to the dense gradient: when it is not
+    None, ``grad`` is zero outside those sorted rows of the first axis, so
+    clipping and the optimizer may skip the rest.  Only the embedding backward
+    sets it; assigning ``grad`` or accumulating a dense gradient drops it.
+    """
+
+    __slots__ = ("data", "_grad", "grad_rows", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_dtype)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self.grad_rows: np.ndarray | None = None
         if _nan_check and not np.all(np.isfinite(self.data)):
             raise NumericError("non-finite value in tensor")
 
@@ -87,10 +94,29 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+        self.grad_rows = None
+
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        self._grad += g
+        self.grad_rows = None
+
+    def _accum_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Add ``values`` to the sorted, distinct ``rows`` of the gradient."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+            self.grad_rows = rows
+        elif self.grad_rows is not None:
+            self.grad_rows = np.union1d(self.grad_rows, rows)
+        self._grad[rows] += values
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -305,15 +331,31 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return out
 
 
+def _row_sums(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``ids`` and, for each, the sum of its slices of ``g``.
+
+    ``np.add.at`` into a zero buffer of one row per distinct id, through flat
+    element indices: every element of the sums receives the same additions,
+    in the same order, as ``np.add.at`` into a zero array of the weight's
+    shape, so the sums are bit-identical to it.
+    """
+    rows, inverse = np.unique(ids, return_inverse=True)
+    width = math.prod(g.shape[ids.ndim :])
+    sums = np.zeros(rows.size * width, dtype=g.dtype)
+    np.add.at(sums, (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1), g.reshape(-1))
+    return rows, sums
+
+
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of ``weight``; backward scatters only into gathered rows."""
+    """Gather rows of ``weight`` by non-negative ``ids``; backward adds only
+    into the gathered rows of ``weight.grad`` and records them in
+    ``weight.grad_rows``."""
     ids = np.asarray(ids)
     out = Tensor(weight.data[ids], weight.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids, g)
-        weight._accum(gw)
+        rows, sums = _row_sums(ids, g)
+        weight._accum_rows(rows, sums.reshape(rows.shape + weight.shape[1:]))
 
     _trace(out, bwd)
     return out

@@ -125,6 +125,8 @@ def test_train_with_corrupt_cluster_map_exit_3(tmp_path, corpus_files):
     [
         ("--config", "bad_int.txt", "batch_size=8\nepochs=abc\n", 2),
         ("--config", "bad.json", '{\n  "config": {\n    "epochs": 2,\n  }\n}\n', 4),
+        ("--config", "null_config.json", '{"config": null}\n', 1),
+        ("--config", "top_level_list.json", "[1, 2]\n", 1),
         ("--clusters", "out_of_range.txt", "2 8 4 0\n0 1 2 3\n4 5 6 9\n", 3),
         ("--clusters", "non_integer.txt", "2 8 4 0\n0 1 x 3\n4 5 6 7\n", 2),
     ],

@@ -1,5 +1,7 @@
 """AdamW, clipping, SWA and checkpoint-container tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,45 @@ def test_checkpoint_deterministic_bytes(tmp_path):
     save_checkpoint(p1, tensors)
     save_checkpoint(p2, dict(reversed(list(tensors.items()))))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _reference_save_checkpoint(path, tensors):
+    """The writer before writes became atomic and copy-free."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", FORMAT_VERSION))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(np.asarray(tensors[name]), dtype="<f4")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())
+
+
+def test_checkpoint_bytes_match_reference_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    tensors = {
+        "f64": rng.normal(size=(5, 7)),
+        "f32": rng.normal(size=(300, 64)).astype(np.float32),
+        "transposed": rng.normal(size=(4, 6)).astype(np.float32).T,
+        "big_endian": rng.normal(size=9).astype(">f4"),
+        "scalar": np.float64(2.5),
+        "empty": np.zeros((0, 3)),
+        "ünïcode": np.arange(4.0),
+    }
+    save_checkpoint(tmp_path / "new.ckpt", tensors)
+    _reference_save_checkpoint(tmp_path / "ref.ckpt", tensors)
+    assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(3)})
+    before = path.read_bytes()
+    # the second record cannot be converted, after the first was written
+    with pytest.raises(ValueError):
+        save_checkpoint(path, {"a": np.zeros(1000), "b": np.array(["not a number"])})
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
