@@ -34,7 +34,7 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", FORMAT_VERSION))
             for name in sorted(tensors):
-                arr = np.ascontiguousarray(np.asarray(tensors[name]), dtype="<f4")
+                arr = np.asarray(tensors[name], dtype="<f4", order="C")
                 encoded = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(encoded)))
                 fh.write(encoded)

@@ -19,18 +19,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
-from .corpus import SparseVec, XmcDataset
+from .corpus import XmcDataset
 from .errors import ConfigError, ContractError, ParseError
 
 MAX_ITERS = 50
 INIT_SAMPLE = 32
-
-
-@dataclass
-class LabelRep:
-    label: int
-    rep: SparseVec  # unit L2 norm, or the zero vector for unused labels
 
 
 @dataclass
@@ -96,154 +91,83 @@ class ClusterMap:
         return cmap
 
 
-def build_label_reps(dataset: XmcDataset) -> list[LabelRep]:
-    """Unit-normalized sum of sparse doc features per label; zero if unused."""
-    sums: list[dict[int, float]] = [dict() for _ in range(dataset.num_labels)]
-    for doc in dataset.documents:
-        if doc.sparse is None:
-            raise ContractError("build_label_reps requires sparse features on every document")
-        for label in doc.labels:
-            acc = sums[label]
-            for i, v in zip(doc.sparse.indices, doc.sparse.values):
-                acc[int(i)] = acc.get(int(i), 0.0) + float(v)
-    reps = []
-    for label, acc in enumerate(sums):
-        if acc:
-            idx = np.array(sorted(acc), dtype=np.int64)
-            val = np.array([acc[int(i)] for i in idx], dtype=np.float64)
-            norm = np.sqrt((val**2).sum())
-            if norm > 0:
-                val = val / norm
-            reps.append(LabelRep(label, SparseVec(idx, val, dataset.feature_dim)))
-        else:
-            reps.append(
-                LabelRep(label, SparseVec(np.empty(0, np.int64), np.empty(0), dataset.feature_dim))
-            )
+def build_label_reps(dataset: XmcDataset) -> sp.csr_array:
+    """PIFA label representations as one (L, D) float64 CSR matrix.
+
+    Row ``l`` is the sum of the sparse features of the documents carrying
+    label ``l`` (``Yᵀ X``), scaled to unit L2 norm; unused labels are empty
+    rows.  A feature whose contributions cancel to exactly 0 stays stored:
+    a label is an empty row only when its documents carry no feature at all.
+    """
+    docs = dataset.documents
+    if any(doc.sparse is None for doc in docs):
+        raise ContractError("build_label_reps requires sparse features on every document")
+    # The sparse product drops sums that come out exactly 0.  An imaginary 1 on
+    # every feature value counts its contributions, so no stored sum is 0, and
+    # the real part is Yᵀ X summed in document order.
+    x = _stack([doc.sparse.indices for doc in docs], [doc.sparse.values + 1j for doc in docs], dataset.feature_dim)
+    y = _stack([doc.labels for doc in docs], None, dataset.num_labels)
+    reps = (y.T.tocsr() @ x).real
+    reps.sort_indices()
+    bounds = zip(reps.indptr[:-1], reps.indptr[1:])
+    norms = np.array([np.sqrt((reps.data[a:b] ** 2).sum()) for a, b in bounds])
+    norms[norms == 0] = 1.0
+    reps.data = reps.data / np.repeat(norms, np.diff(reps.indptr))
     return reps
 
 
-# ---------------------------------------------------------------------------
-# internal CSR machinery
+def _stack(rows, values, width: int) -> sp.csr_array:
+    """CSR matrix from per-row column ids and values (all ones when ``values`` is None)."""
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    indices = np.concatenate([np.empty(0, np.int64)] + [np.asarray(r, dtype=np.int64) for r in rows])
+    data = np.ones(len(indices)) if values is None else np.concatenate([np.empty(0)] + list(values))
+    return sp.csr_array((data, indices, indptr), shape=(len(rows), width))
 
 
-class _Csr:
-    """Row-compressed view of the label reps for vectorized centroid math."""
-
-    def __init__(self, reps: list[LabelRep]):
-        self.dim = reps[0].rep.dim if reps else 0
-        counts = np.array([r.rep.nnz for r in reps], dtype=np.int64)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.indices = (
-            np.concatenate([r.rep.indices for r in reps]) if len(reps) else np.empty(0, np.int64)
-        )
-        self.values = (
-            np.concatenate([r.rep.values for r in reps]) if len(reps) else np.empty(0)
-        )
-
-    def row_counts(self, rows: np.ndarray) -> np.ndarray:
-        return self.indptr[rows + 1] - self.indptr[rows]
-
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(feature ids, values, per-nnz local row) for the given rows, concatenated."""
-        counts = self.row_counts(rows)
-        pos = _concat_ranges(self.indptr[rows], counts)
-        return self.indices[pos], self.values[pos], np.repeat(np.arange(len(rows)), counts)
-
-
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate integer ranges [start, start+count) without a Python loop."""
-    nz = counts > 0
-    s, c = starts[nz], counts[nz]
-    if len(s) == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(int(c.sum()), dtype=np.int64)
-    out[0] = s[0]
-    if len(s) > 1:
-        boundaries = np.cumsum(c)[:-1]
-        out[boundaries] = s[1:] - (s[:-1] + c[:-1] - 1)
-    return np.cumsum(out)
-
-
-def _min_cosine_pair(idx, val, row_of, n, dim, sample):
-    """Among sampled local rows, the pair with minimal mutual cosine (first wins)."""
-    buf = np.zeros(dim)
-    best = (np.inf, -1, -1)
-    sample_mask = np.isin(row_of, sample)
-    s_idx, s_val, s_row = idx[sample_mask], val[sample_mask], row_of[sample_mask]
-    for a in sample:
-        a_mask = s_row == a
-        buf[s_idx[a_mask]] = s_val[a_mask]
-        dots = np.zeros(n)
-        np.add.at(dots, s_row, buf[s_idx] * s_val)
-        for b in sample:
-            if b <= a:
-                continue
-            if dots[b] < best[0]:
-                best = (dots[b], a, b)
-        buf[s_idx[a_mask]] = 0.0
-    return best[1], best[2]
-
-
-def _bisect(csr: _Csr, rows: np.ndarray, left_size: int, rng: np.random.Generator):
+def _bisect(reps: sp.csr_array, rows: np.ndarray, left_size: int, rng: np.random.Generator):
     """One balanced 2-means pass over ``rows``; the top ``left_size`` go left.
 
     Ordering per iteration: non-zero reps first by cosine margin descending,
     zero reps last, ties by ascending label id.
     """
-    n = len(rows)
-    idx, val, row_of = csr.gather(rows)
-    counts = csr.row_counts(rows)
+    counts = reps.indptr[rows + 1] - reps.indptr[rows]
     is_zero = counts == 0
-
     nonzero = np.flatnonzero(~is_zero)
-    c_left = np.zeros(csr.dim)
-    c_right = np.zeros(csr.dim)
-    have_seeds = len(nonzero) >= 2
-    if have_seeds:
+    # without a seed pair every margin is 0
+    order = np.lexsort((rows, is_zero))
+    if len(nonzero) >= 2:
+        sub = reps[rows]
+        n, dim = sub.shape
+        row_of = np.repeat(np.arange(n), counts)
+        # seeds: the sampled pair with minimal mutual cosine, first in row-major order
         k = min(INIT_SAMPLE, len(nonzero))
         sample = np.sort(rng.choice(nonzero, size=k, replace=False))
-        a, b = _min_cosine_pair(idx, val, row_of, n, csr.dim, sample)
-        for target, local in ((c_left, a), (c_right, b)):
-            m = row_of == local
-            target[idx[m]] = val[m]
+        seeds = sub[sample]
+        gram = (seeds @ seeds.T).toarray()
+        gram[np.tri(k, dtype=bool)] = np.inf
+        a, b = divmod(int(np.argmin(gram)), k)
+        c_left, c_right = np.zeros(dim), np.zeros(dim)
+        for target, local in ((c_left, sample[a]), (c_right, sample[b])):
+            lo, hi = sub.indptr[local], sub.indptr[local + 1]
+            target[sub.indices[lo:hi]] = sub.data[lo:hi]
 
-    prev = None
-    for _ in range(MAX_ITERS if have_seeds else 1):
-        diff = c_left - c_right
-        scores = np.zeros(n)
-        np.add.at(scores, row_of, val * diff[idx])
-        order = np.lexsort((rows, -scores, is_zero))
-        in_left = np.zeros(n, dtype=bool)
-        in_left[order[:left_size]] = True
-        if prev is not None and np.array_equal(in_left, prev):
-            break
-        prev = in_left
-        for target, side in ((c_left, in_left), (c_right, ~in_left)):
-            mask = side[row_of]
-            target[:] = 0.0
-            np.add.at(target, idx[mask], val[mask])
-            norm = np.sqrt((target**2).sum())
-            if norm > 0:
-                target /= norm
+        prev = None
+        for _ in range(MAX_ITERS):
+            order = np.lexsort((rows, -(sub @ (c_left - c_right)), is_zero))
+            in_left = np.zeros(n, dtype=bool)
+            in_left[order[:left_size]] = True
+            if prev is not None and np.array_equal(in_left, prev):
+                break
+            prev = in_left
+            for target, side in ((c_left, in_left), (c_right, ~in_left)):
+                mask = side[row_of]
+                target[:] = np.bincount(sub.indices[mask], sub.data[mask], minlength=dim)
+                norm = np.sqrt((target**2).sum())
+                if norm > 0:
+                    target /= norm
     left = np.sort(rows[order[:left_size]])
     right = np.sort(rows[order[left_size:]])
     return left, right
-
-
-def balanced_2means(reps: list[LabelRep], seed: int):
-    """Split labels into two halves (sizes differ by at most one, extra left)."""
-    if len(reps) < 2:
-        raise ContractError(f"balanced_2means needs at least 2 labels, got {len(reps)}")
-    rows = np.array([r.label for r in reps], dtype=np.int64)
-    order = np.argsort(rows)
-    rows = rows[order]
-    # reorder csr rows to match ascending label ids
-    csr_sorted = _Csr([reps[i] for i in order])
-    local = np.arange(len(rows))
-    left, right = _bisect(
-        csr_sorted, local, (len(rows) + 1) // 2, np.random.default_rng([seed, 1])
-    )
-    return rows[left].tolist(), rows[right].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +202,18 @@ def _choose_left_size(p: int, s: int) -> int:
     return half
 
 
-def build_cluster_map(reps: list[LabelRep], s: int, seed: int) -> ClusterMap:
-    """Recursively partition all labels until every leaf has size <= s."""
+def build_cluster_map(reps: sp.csr_array, s: int, seed: int) -> ClusterMap:
+    """Recursively partition the rows (labels) of ``reps`` until every leaf has size <= s."""
     if s < 1:
         raise ConfigError(f"cluster size must be >= 1, got {s}")
-    num_labels = len(reps)
+    num_labels = reps.shape[0]
     if num_labels == 0:
         raise ContractError("cannot cluster an empty label set")
-    if sorted(r.label for r in reps) != list(range(num_labels)):
-        raise ContractError("label reps must cover 0..L-1 exactly once")
 
     if s == 1:
         members = [np.array([l], dtype=np.int64) for l in range(num_labels)]
         return ClusterMap(np.arange(num_labels, dtype=np.int64), members, s, seed)
 
-    by_label = sorted(reps, key=lambda r: r.label)
-    csr = _Csr(by_label)
     leaves: list[np.ndarray] = []
 
     def recurse(rows: np.ndarray, node_id: int) -> None:
@@ -301,7 +221,7 @@ def build_cluster_map(reps: list[LabelRep], s: int, seed: int) -> ClusterMap:
             leaves.append(rows)
             return
         rng = np.random.default_rng([seed, node_id])
-        left, right = _bisect(csr, rows, _choose_left_size(len(rows), s), rng)
+        left, right = _bisect(reps, rows, _choose_left_size(len(rows), s), rng)
         recurse(left, 2 * node_id)
         recurse(right, 2 * node_id + 1)
 

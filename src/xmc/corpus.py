@@ -8,6 +8,7 @@ file has one document per line, aligned with the sparse file by line number.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -28,32 +29,10 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 @dataclass
 class SparseVec:
-    """Sorted sparse feature vector over a fixed-dimension space."""
+    """Sparse feature vector: strictly increasing ids and their values."""
 
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if len(self.indices) != len(self.values):
-            raise ParseError("sparse vector: index/value length mismatch")
-        if len(self.indices) and (
-            np.any(np.diff(self.indices) <= 0)
-            or self.indices[0] < 0
-            or self.indices[-1] >= self.dim
-        ):
-            raise ParseError("sparse vector: indices must be strictly increasing and < dim")
-        if not np.all(np.isfinite(self.values)):
-            raise ParseError("sparse vector: non-finite value")
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt((self.values**2).sum()))
+    indices: np.ndarray  # int64
+    values: np.ndarray  # float64
 
 
 @dataclass
@@ -90,7 +69,10 @@ class Vocab:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines:
             raise ParseError(f"{path}: empty vocab file")
-        min_freq = int(lines[0])
+        try:
+            min_freq = int(lines[0])
+        except ValueError as exc:
+            raise ParseError(f"{path}:1: header must be the integer min_freq, got {lines[0]!r}") from exc
         mapping = {tok: NUM_RESERVED + i for i, tok in enumerate(lines[1:])}
         return cls(mapping, min_freq)
 
@@ -170,10 +152,12 @@ def load_sparse(path: str | Path, require_labels: bool = True):
                     raise ParseError(f"{path}:{lineno}: non-monotone feature index {i}")
                 if i >= dim:
                     raise ParseError(f"{path}:{lineno}: feature index {i} >= dim {dim}")
+                if not math.isfinite(v):
+                    raise ParseError(f"{path}:{lineno}: non-finite feature value {fv!r}")
                 prev = i
                 idx.append(i)
                 val.append(v)
-            rows.append((labels, SparseVec(np.array(idx), np.array(val), dim)))
+            rows.append((labels, SparseVec(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64))))
 
     if len(rows) != n:
         raise ParseError(f"{path}: header says {n} rows, file has {len(rows)}")
@@ -314,5 +298,5 @@ class TfidfVectorizer:
             norm = np.sqrt((vals**2).sum())
             if norm > 0:
                 vals = vals / norm
-            out.append(SparseVec(idx, vals, self.dim))
+            out.append(SparseVec(idx, vals))
         return out

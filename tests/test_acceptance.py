@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from xmc import tensor as t
-from xmc.cluster import ClusterMap, LabelRep, bound_feasible, build_cluster_map
-from xmc.corpus import SparseVec
+from xmc.cluster import ClusterMap, bound_feasible, build_cluster_map
 from xmc.predict import evaluate, precision_at_k, predict_batch
 from xmc.recall import sample_candidates, top_clusters
 from xmc.rank import init_discriminator
@@ -42,14 +42,15 @@ def criterion(number: int, description: str):
 
 
 def _random_reps(num_labels, dim, rng):
-    reps = []
-    for label in range(num_labels):
+    """(num_labels, dim) CSR reps: 1-5 random features per label, unit norm."""
+    indices, values = [], []
+    for _ in range(num_labels):
         k = int(rng.integers(1, 6))
-        idx = np.sort(rng.choice(dim, size=k, replace=False))
+        indices.append(np.sort(rng.choice(dim, size=k, replace=False)))
         val = rng.normal(size=k)
-        val /= np.linalg.norm(val)
-        reps.append(LabelRep(label, SparseVec(idx, val, dim)))
-    return reps
+        values.append(val / np.linalg.norm(val))
+    indptr = np.cumsum([0] + [len(i) for i in indices])
+    return sp.csr_array((np.concatenate(values), np.concatenate(indices), indptr), shape=(num_labels, dim))
 
 
 def test_criterion_1_gradient_fidelity():
@@ -64,8 +65,8 @@ def test_criterion_1_gradient_fidelity():
 
 
 @pytest.mark.slow
-def test_criterion_2_clustering_invariants():
-    with criterion(2, "200 random cluster maps: size bound, inversion, determinism in <60s"):
+def test_criterion_2_clustering_invariants(golden_cluster_maps, cluster_map_digest):
+    with criterion(2, "200 random cluster maps: size bound, inversion, determinism, golden bytes in <60s"):
         started = time.perf_counter()
         rng = np.random.default_rng(2024)
         infeasible = 0
@@ -88,6 +89,7 @@ def test_criterion_2_clustering_invariants():
                     assert np.all(sizes >= (s + 1) // 2)
             replay = build_cluster_map(reps, s, seed=i)
             assert np.array_equal(replay.assign, cmap.assign)
+            assert cluster_map_digest(cmap) == golden_cluster_maps["criterion_2"][i], i
         elapsed = time.perf_counter() - started
         print(f"  200 instances ({infeasible} with arithmetically infeasible strict bound), "
               f"runtime = {elapsed:.1f}s")

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, manifests, exit codes, config precedence."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -129,14 +130,27 @@ def test_train_with_corrupt_cluster_map_exit_3(tmp_path, corpus_files):
         ("--config", "top_level_list.json", "[1, 2]\n", 1),
         ("--clusters", "out_of_range.txt", "2 8 4 0\n0 1 2 3\n4 5 6 9\n", 3),
         ("--clusters", "non_integer.txt", "2 8 4 0\n0 1 x 3\n4 5 6 7\n", 2),
+        ("--sparse", "nan.txt", "2 4 2\n0 1:1.0\n1 1:nan\n", 3),
+        ("--sparse", "inf.txt", "1 4 2\n0 1:inf\n", 2),
+        ("--sparse", "neg_inf.txt", "1 4 2\n0 2:-inf\n", 2),
+        ("--ckpt", "vocab.txt", "abc\ntopic0\n", 1),
     ],
 )
-def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, capsys, flag, name, content, line):
+def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_run, capsys, flag, name, content, line):
     bad = tmp_path / name
     bad.write_text(content)
-    code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
-                 "--text", str(corpus_files["train_text"]),
-                 "--out-dir", str(tmp_path / "r"), flag, str(bad), *TINY_FLAGS])
+    if flag == "--ckpt":
+        # predict on a copy of a trained run whose manifest names the damaged vocab
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["artifacts"]["vocab"] = str(bad)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["predict", "--ckpt", str(run / "final.ckpt"), "--text", str(corpus_files["test_text"])])
+    else:
+        code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
+                     "--text", str(corpus_files["train_text"]),
+                     "--out-dir", str(tmp_path / "r"), flag, str(bad), *TINY_FLAGS])
     assert code == 2
     assert f"{bad}:{line}:" in capsys.readouterr().err
 

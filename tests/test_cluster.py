@@ -4,13 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmc.cluster import (
     ClusterMap,
-    LabelRep,
-    balanced_2means,
     bound_feasible,
     build_cluster_map,
     build_label_reps,
@@ -18,42 +17,49 @@ from xmc.cluster import (
 )
 from xmc.corpus import Document, SparseVec, XmcDataset
 from xmc.errors import ContractError
+from xmc.synth import corpus_datasets, make_synthetic_corpus
 
 
-def _vec(pairs, dim):
+def _vec(pairs):
     idx = np.array([i for i, _ in pairs], dtype=np.int64)
     val = np.array([v for _, v in pairs], dtype=np.float64)
-    return SparseVec(idx, val, dim)
+    return SparseVec(idx, val)
 
 
-def _unit(pairs, dim):
-    vec = _vec(pairs, dim)
-    norm = vec.l2_norm()
-    if norm:
-        vec.values = vec.values / norm
-    return vec
+def _reps(rows, dim):
+    """(L, dim) CSR label reps from per-label (feature, value) pairs, each scaled to unit norm."""
+    indptr, indices, data = [0], [], []
+    for pairs in rows:
+        val = np.array([v for _, v in pairs], dtype=np.float64)
+        norm = np.sqrt((val**2).sum())
+        indices += [i for i, _ in pairs]
+        data += list(val / norm if norm else val)
+        indptr.append(len(indices))
+    data = np.array(data, dtype=np.float64)
+    return sp.csr_array((data, np.array(indices, dtype=np.int64), indptr), shape=(len(rows), dim))
+
+
+def _row(reps, label):
+    lo, hi = reps.indptr[label], reps.indptr[label + 1]
+    return reps.indices[lo:hi], reps.data[lo:hi]
 
 
 def _dataset(doc_specs, num_labels, dim):
-    docs = [
-        Document(i, [1], labels, _vec(pairs, dim))
-        for i, (labels, pairs) in enumerate(doc_specs)
-    ]
+    docs = [Document(i, [1], labels, _vec(pairs)) for i, (labels, pairs) in enumerate(doc_specs)]
     return XmcDataset(docs, num_labels=num_labels, feature_dim=dim)
 
 
 def _random_reps(num_labels, dim, rng, zero_frac=0.0):
-    reps = []
-    for label in range(num_labels):
+    rows = []
+    for _ in range(num_labels):
         if rng.random() < zero_frac:
-            reps.append(LabelRep(label, _vec([], dim)))
+            rows.append([])
             continue
         k = int(rng.integers(1, min(dim, 6)))
         idx = np.sort(rng.choice(dim, size=k, replace=False))
         val = rng.normal(size=k)
-        pairs = list(zip(idx.tolist(), val.tolist()))
-        reps.append(LabelRep(label, _unit(pairs, dim)))
-    return reps
+        rows.append(list(zip(idx.tolist(), val.tolist())))
+    return _reps(rows, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +69,11 @@ def _random_reps(num_labels, dim, rng, zero_frac=0.0):
 def test_single_doc_label_rep_is_unit_features():
     ds = _dataset([((0,), [(1, 3.0), (4, 4.0)])], num_labels=2, dim=6)
     reps = build_label_reps(ds)
-    assert np.allclose(reps[0].rep.values, [0.6, 0.8])
-    assert reps[0].rep.l2_norm() == pytest.approx(1.0)
+    assert reps.shape == (2, 6)
+    idx, val = _row(reps, 0)
+    assert list(idx) == [1, 4]
+    assert np.allclose(val, [0.6, 0.8])
+    assert np.sqrt((val**2).sum()) == pytest.approx(1.0)
 
 
 def test_two_orthogonal_docs_rep():
@@ -73,31 +82,83 @@ def test_two_orthogonal_docs_rep():
         num_labels=1,
         dim=4,
     )
-    rep = build_label_reps(ds)[0].rep
-    assert np.allclose(rep.values, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-    assert list(rep.indices) == [0, 3]
+    idx, val = _row(build_label_reps(ds), 0)
+    assert np.allclose(val, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    assert list(idx) == [0, 3]
 
 
 def test_unused_label_rep_is_zero():
     ds = _dataset([((0,), [(0, 1.0)])], num_labels=3, dim=4)
     reps = build_label_reps(ds)
-    assert reps[1].rep.nnz == 0
-    assert reps[2].rep.nnz == 0
+    assert len(_row(reps, 1)[0]) == 0
+    assert len(_row(reps, 2)[0]) == 0
+
+
+def test_exact_zero_feature_sums_stay_stored():
+    # label 2's features cancel to exactly 0 and label 0's only feature is 0.0:
+    # both rows stay non-empty, so they are clustered as non-zero reps
+    ds = _dataset(
+        [
+            ((0,), [(1, 0.0)]),
+            ((1,), [(2, 1.0)]),
+            ((2,), [(1, 0.5), (3, -0.5)]),
+            ((2,), [(1, -0.5), (3, 0.5)]),
+            ((3,), [(0, 1.0)]),
+            ((4,), [(0, 1.0), (2, 1.0)]),
+        ],
+        num_labels=6,
+        dim=4,
+    )
+    reps = build_label_reps(ds)
+    assert list(_row(reps, 2)[0]) == [1, 3]
+    assert not _row(reps, 2)[1].any()
+    cmap = build_cluster_map(reps, s=2, seed=1)
+    assert [m.tolist() for m in cmap.members] == [[0, 2], [3, 4], [1, 5]]
+
+
+def _reference_label_reps(dataset):
+    """The per-label dict accumulation that preceded the CSR product."""
+    sums = [dict() for _ in range(dataset.num_labels)]
+    for doc in dataset.documents:
+        for label in doc.labels:
+            for i, v in zip(doc.sparse.indices, doc.sparse.values):
+                sums[label][int(i)] = sums[label].get(int(i), 0.0) + float(v)
+    rows = []
+    for acc in sums:
+        idx = np.array(sorted(acc), dtype=np.int64)
+        val = np.array([acc[int(i)] for i in idx], dtype=np.float64)
+        norm = np.sqrt((val**2).sum())
+        rows.append((idx, val / norm if norm > 0 else val))
+    return rows
+
+
+def test_label_reps_bit_identical_to_dict_reference():
+    sc = make_synthetic_corpus(num_labels=64, num_topics=8, n_train=500, seed=3)
+    train, _, _ = corpus_datasets(sc)
+    for dataset in (train, _dataset([((0, 1), [(0, 1.0), (2, -1.0)]), ((1,), [(2, 1.0)])], 3, 4)):
+        reps = build_label_reps(dataset)
+        assert reps.shape == (dataset.num_labels, dataset.feature_dim)
+        for label, (idx, val) in enumerate(_reference_label_reps(dataset)):
+            got_idx, got_val = _row(reps, label)
+            assert np.array_equal(got_idx, idx)
+            assert got_val.tobytes() == val.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# balanced 2-means
+# balanced 2-means: build_cluster_map with s = ceil(L/2) bisects the root
+# once; members[0] is its left side and members[1] its right side
+
+
+def _one_bisection(reps, seed):
+    num_labels = reps.shape[0]
+    cmap = build_cluster_map(reps, s=-(-num_labels // 2), seed=seed)
+    assert cmap.num_clusters == 2
+    return cmap.members[0].tolist(), cmap.members[1].tolist()
 
 
 def _brute_force_best_pairing(reps):
     """Oracle: the balanced 2-partition of 4 labels maximizing within-pair cosine."""
-
-    def dense(rep):
-        d = np.zeros(rep.rep.dim)
-        d[rep.rep.indices] = rep.rep.values
-        return d
-
-    vecs = [dense(r) for r in reps]
+    vecs = reps.toarray()
     best, best_score = None, -np.inf
     for left in itertools.combinations(range(4), 2):
         right = tuple(i for i in range(4) if i not in left)
@@ -110,13 +171,8 @@ def _brute_force_best_pairing(reps):
 
 
 def test_2means_matches_brute_force_on_two_blocks():
-    reps = [
-        LabelRep(0, _unit([(0, 1.0)], 2)),
-        LabelRep(1, _unit([(0, 0.95), (1, 0.05)], 2)),
-        LabelRep(2, _unit([(1, 1.0)], 2)),
-        LabelRep(3, _unit([(0, 0.05), (1, 0.95)], 2)),
-    ]
-    left, right = balanced_2means(reps, seed=0)
+    reps = _reps([[(0, 1.0)], [(0, 0.95), (1, 0.05)], [(1, 1.0)], [(0, 0.05), (1, 0.95)]], 2)
+    left, right = _one_bisection(reps, seed=0)
     oracle_left, oracle_right = _brute_force_best_pairing(reps)
     assert {frozenset(left), frozenset(right)} == {
         frozenset(oracle_left),
@@ -126,28 +182,21 @@ def test_2means_matches_brute_force_on_two_blocks():
 
 
 def test_2means_two_labels_one_each_side():
-    reps = [LabelRep(0, _unit([(0, 1.0)], 2)), LabelRep(1, _unit([(1, 1.0)], 2))]
-    left, right = balanced_2means(reps, seed=3)
-    assert len(left) == 1 and len(right) == 1
-    assert set(left) | set(right) == {0, 1}
+    # s = ceil(2/2) = 1 is the identity map: two labels are never bisected
+    reps = _reps([[(0, 1.0)], [(1, 1.0)]], 2)
+    cmap = build_cluster_map(reps, s=1, seed=3)
+    assert [m.tolist() for m in cmap.members] == [[0], [1]]
 
 
 def test_2means_identical_reps_split_by_id():
-    reps = [LabelRep(i, _unit([(0, 1.0)], 2)) for i in range(6)]
-    left, right = balanced_2means(reps, seed=5)
+    left, right = _one_bisection(_reps([[(0, 1.0)]] * 6, 2), seed=5)
     assert left == [0, 1, 2]
     assert right == [3, 4, 5]
 
 
 def test_2means_odd_count_extra_left():
-    reps = [LabelRep(i, _unit([(0, 1.0)], 2)) for i in range(5)]
-    left, right = balanced_2means(reps, seed=5)
+    left, right = _one_bisection(_reps([[(0, 1.0)]] * 5, 2), seed=5)
     assert len(left) == 3 and len(right) == 2
-
-
-def test_2means_needs_two_labels():
-    with pytest.raises(ContractError):
-        balanced_2means([LabelRep(0, _unit([(0, 1.0)], 2))], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +257,8 @@ def test_cluster_map_invariants_randomized(num_labels, s, seed):
 def test_block_structure_recovered():
     # 4 blocks of 8 labels; same-block reps share a feature axis
     rng = np.random.default_rng(7)
-    reps = []
-    for label in range(32):
-        block = label // 8
-        pairs = [(block, 1.0), (4 + label, 0.2 * rng.random())]
-        reps.append(LabelRep(label, _unit(pairs, 40)))
-    cmap = build_cluster_map(reps, s=8, seed=2)
+    rows = [[(label // 8, 1.0), (4 + label, 0.2 * rng.random())] for label in range(32)]
+    cmap = build_cluster_map(_reps(rows, 40), s=8, seed=2)
     same = total = 0
     for a in range(32):
         for b in range(a + 1, 32):
@@ -235,6 +280,19 @@ def test_cluster_map_save_load_roundtrip(tmp_path):
     assert (loaded.s, loaded.seed) == (4, 3)
     header = path.read_text().splitlines()[0].split()
     assert header == [str(cmap.num_clusters), "30", "4", "3"]
+
+
+@pytest.mark.parametrize(
+    "num_labels, n_train",
+    [(64, 2000), (8192, 8000), pytest.param(32768, 16000, marks=pytest.mark.slow)],
+)
+def test_synth_cluster_maps_match_golden(num_labels, n_train, golden_cluster_maps, cluster_map_digest):
+    sc = make_synthetic_corpus(
+        num_labels=num_labels, num_topics=max(8, num_labels // 64), n_train=n_train, seed=7
+    )
+    train, _, _ = corpus_datasets(sc)
+    cmap = build_cluster_map(build_label_reps(train), s=8, seed=7)
+    assert cluster_map_digest(cmap) == golden_cluster_maps["synth_s8_seed7"][str(num_labels)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Corpus parsing, vocabulary, tokenization and batching tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from xmc.corpus import (
     CLS_ID,
     PAD_ID,
     UNK_ID,
-    SparseVec,
     TfidfVectorizer,
     batch_iter,
     build_vocab,
@@ -78,11 +79,19 @@ def test_sparse_roundtrip_semantic(tmp_path, tiny_sparse):
         assert np.allclose(va.values, vb.values)
 
 
-def test_sparsevec_validation():
-    with pytest.raises(ParseError):
-        SparseVec(np.array([3, 1]), np.array([1.0, 1.0]), 5)
-    with pytest.raises(ParseError):
-        SparseVec(np.array([1, 7]), np.array([1.0, 1.0]), 5)
+def test_load_sparse_rejects_bad_features_with_location(tmp_path):
+    cases = {
+        "0 3:1.0 1:1.0": "non-monotone",
+        "0 1:1.0 7:1.0": "feature index 7 >= dim",
+        "0 1:nan": "non-finite",
+        "0 1:1.0 2:inf": "non-finite",
+        "0 4:-inf": "non-finite",
+    }
+    p = tmp_path / "bad.txt"
+    for row, message in cases.items():
+        p.write_text(f"2 5 2\n1 0:1.0\n{row}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}:3: {message}")):
+            load_sparse(p)
 
 
 # ---------------------------------------------------------------------------
@@ -239,5 +248,5 @@ def test_tfidf_unit_norm_and_determinism():
     assert v1.term_to_id == v2.term_to_id
     vecs = v1.transform(texts)
     for vec in vecs:
-        assert vec.l2_norm() == pytest.approx(1.0)
-    assert v1.transform(["zebra"])[0].nnz == 0
+        assert np.linalg.norm(vec.values) == pytest.approx(1.0)
+    assert len(v1.transform(["zebra"])[0].indices) == 0

@@ -207,13 +207,25 @@ def test_checkpoint_bytes_match_reference_writer(tmp_path):
         "f32": rng.normal(size=(300, 64)).astype(np.float32),
         "transposed": rng.normal(size=(4, 6)).astype(np.float32).T,
         "big_endian": rng.normal(size=9).astype(">f4"),
-        "scalar": np.float64(2.5),
         "empty": np.zeros((0, 3)),
         "ünïcode": np.arange(4.0),
     }
     save_checkpoint(tmp_path / "new.ckpt", tensors)
     _reference_save_checkpoint(tmp_path / "ref.ckpt", tensors)
     assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+
+
+def test_checkpoint_zero_dim_roundtrip(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"scalar": np.float64(2.5), "zeros": np.zeros(())})
+    loaded = load_checkpoint(path)
+    assert loaded["scalar"].shape == () and loaded["scalar"] == 2.5
+    assert loaded["zeros"].shape == () and loaded["zeros"] == 0.0
+    # a rank-0 record carries no dims: name length, name, rank 0, one value
+    assert path.read_bytes()[8:] == b"".join(
+        struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", 0) + struct.pack("<f", value)
+        for name, value in (("scalar", 2.5), ("zeros", 0.0))
+    )
 
 
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
