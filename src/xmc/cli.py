@@ -9,11 +9,14 @@ verification mode.  Exit codes: 0 success, 2 usage error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import re
 import sys
 import time
-from dataclasses import asdict, fields, replace
+import typing
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +31,6 @@ from .trainer import (
     PRESETS,
     TrainConfig,
     apply_preset,
-    config_from_dict,
     load_bundle,
     micro_joint_grad_check,
     resolve_b_top,
@@ -50,101 +52,103 @@ def _read_config_file(path: Path) -> dict:
     previously written manifest."""
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
+    text = path.read_text(encoding="utf-8")
     if path.suffix == ".json":
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
-        block = payload.get("config", payload) if isinstance(payload, dict) else payload
+        block, line, start = payload, 1, 0
+        if isinstance(payload, dict) and "config" in payload:
+            line, _, block, start = [m for m in _json_members(text, 0) if m[1] == "config"][-1]
         if not isinstance(block, dict):
-            raise UsageError(f"{path}:1: expected a JSON object of config values, got {json.dumps(block)[:40]}")
-        entries = [(str(path), key, value) for key, value in block.items()]
+            raise UsageError(f"{path}:{line}: expected a JSON object of config values, got {json.dumps(block)[:40]}")
+        entries = [member[:3] for member in _json_members(text, start)]
     else:
         entries = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            entries.append((f"{path}:{lineno}", key.strip(), value.strip()))
+            entries.append((lineno, key.strip(), value.strip()))
     values = {}
-    for where, key, value in entries:
+    for lineno, key, value in entries:
+        where = f"{path}:{lineno}"
         if key == "rank_target_invert":
             # written by versions that had a debug-only inverted-target switch
-            if value is True or str(value).lower() in _TRUE:
-                raise UsageError(f"{where}: rank_target_invert=true is no longer supported")
+            if str(value).lower() != "false":
+                raise UsageError(f"{where}: rank_target_invert={value} is no longer supported; only false loads")
             continue
         values[key] = _coerce(where, key, value)
     return values
 
 
-_FIELD_NAMES = {f.name for f in fields(TrainConfig)}
-_BOOL_FIELDS = {"decay_bias_norm"}
-_FLOAT_FIELDS = {"learning_rate", "weight_decay", "dropout", "block_dropout", "grad_clip"}
-_STR_FIELDS = {"preset", "sampling_mode", "bottleneck_act"}
-_TRUE = {"1", "true", "yes", "on"}
+# whitespace, at most one of the separators { , : and whitespace again
+_JSON_SEP = re.compile(r"[ \t\n\r]*[{,:]?[ \t\n\r]*")
+
+
+def _json_members(text: str, pos: int):
+    """(line, key, value, value offset) of each member of the JSON object that
+    opens at ``text[pos]``; ``text`` must already have parsed as JSON."""
+    decoder = json.JSONDecoder()
+    pos = _JSON_SEP.match(text, pos).end()
+    while text[pos] != "}":
+        key, end = decoder.raw_decode(text, pos)
+        value_at = _JSON_SEP.match(text, end).end()
+        value, end = decoder.raw_decode(text, value_at)
+        yield text.count("\n", 0, pos) + 1, key, value, value_at
+        pos = _JSON_SEP.match(text, end).end()
+
+
+def _field_type(name: str, hint) -> tuple[type, bool, tuple | None]:
+    """(value type, whether None is allowed, choices) of a TrainConfig field."""
+    if typing.get_origin(hint) is typing.Literal:
+        return str, False, typing.get_args(hint)
+    members = typing.get_args(hint) or (hint,)
+    kind = next(m for m in members if m is not type(None))
+    return kind, type(None) in members, tuple(sorted(PRESETS)) if name == "preset" else None
+
+
+# TrainConfig is the one config schema: train/ablate flags and config-file
+# coercion are both derived from its type hints.
+_SCHEMA = {name: _field_type(name, hint) for name, hint in typing.get_type_hints(TrainConfig).items()}
+# flag names that predate the schema; the rest are --field-name
+_FLAG_NAMES = {"cluster_size": "--max-size", "learning_rate": "--lr", "sampling_mode": "--sampling",
+               "swa_start_epoch": "--swa-start", "n_layers": "--layers", "n_heads": "--heads",
+               "bottleneck_act": "--bottleneck"}
 
 
 def _coerce(where: str, key: str, value):
-    if key not in _FIELD_NAMES:
+    """A key=value string or a JSON value checked against the declared type of
+    TrainConfig.<key>; anything else is a usage error located at ``where``."""
+    if key not in _SCHEMA:
         raise UsageError(f"{where}: unknown config key {key!r}")
-    if not isinstance(value, str):
+    kind, optional, choices = _SCHEMA[key]
+    if value is None or (isinstance(value, str) and value.lower() in ("none", "")):
+        if optional:
+            return None
+    elif isinstance(value, str) or (kind is float and type(value) is int):
+        with contextlib.suppress(KeyError, ValueError, OverflowError):
+            value = {"true": True, "false": False}[value.lower()] if kind is bool else kind(value)
+    if type(value) is kind and (choices is None or value in choices):
         return value
-    if key in _BOOL_FIELDS:
-        return value.lower() in _TRUE
-    if key in _STR_FIELDS:
-        return None if value.lower() == "none" else value
-    if value.lower() in {"none", ""}:
-        return None
-    kind = float if key in _FLOAT_FIELDS else int
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise UsageError(f"{where}: {key} must be {kind.__name__}, got {value!r}") from exc
+    want = f"one of {', '.join(choices)}" if choices else kind.__name__ + (" or none" if optional else "")
+    raise UsageError(f"{where}: {key} must be {want}, got {value!r}")
 
 
 def resolve_train_config(args) -> TrainConfig:
-    config = TrainConfig()
-    if getattr(args, "preset", None):
-        config = apply_preset(config, args.preset)
-    if getattr(args, "config", None):
-        config = config_from_dict({**asdict(config), **_read_config_file(Path(args.config))})
-    flag_map = {
-        "epochs": "epochs",
-        "batch_size": "batch_size",
-        "b_top": "b_top",
-        "embed_dim": "embed_dim",
-        "max_size": "cluster_size",
-        "max_len": "max_len",
-        "lr": "learning_rate",
-        "weight_decay": "weight_decay",
-        "dropout": "dropout",
-        "sampling": "sampling_mode",
-        "swa_start": "swa_start_epoch",
-        "seed": "seed",
-        "hidden": "hidden",
-        "layers": "n_layers",
-        "heads": "n_heads",
-        "ff_dim": "ff_dim",
-        "concat_layers": "concat_layers",
-        "block_dropout": "block_dropout",
-        "min_freq": "min_freq",
-        "bottleneck": "bottleneck_act",
-    }
-    updates = {}
-    for flag, field_name in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field_name] = value
-    if getattr(args, "no_grad_clip", False):
-        updates["grad_clip"] = None
-    if getattr(args, "decay_bias_norm", False):
-        updates["decay_bias_norm"] = True
-    if updates:
-        config = replace(config, **updates)
-    return config
+    """Defaults < preset < --config file < explicit flags.  A preset named in
+    the config file applies beneath that file's values, as --preset does."""
+    flags = {name: value for name in _SCHEMA if name != "grad_clip" and (value := getattr(args, name)) is not None}
+    if args.no_grad_clip:
+        flags["grad_clip"] = None
+    file_values = _read_config_file(Path(args.config)) if args.config else {}
+    preset = flags.get("preset") or file_values.get("preset")
+    config = apply_preset(TrainConfig(), preset) if preset else TrainConfig()
+    return replace(config, **{**file_values, **flags})
 
 
 def _write_manifest(path: Path, command: str, config: TrainConfig | None, inputs: dict, artifacts: dict, seed: int) -> None:
@@ -171,38 +175,33 @@ def _require_file(path_str: str | None, what: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# dataset assembly shared by train / eval / ablate
+# dataset assembly shared by train / ablate
 
 
-def _materialize_synth(out_dir: Path, seed: int) -> dict[str, Path]:
-    corpus = make_synthetic_corpus(seed=seed)
-    return corpus.write(out_dir / "data")
-
-
-def _load_train_data(args, config: TrainConfig, out_dir: Path | None):
-    if getattr(args, "synth", False):
-        if out_dir is None:
-            raise UsageError("--synth requires --out-dir")
-        paths = _materialize_synth(out_dir, config.seed)
-        sparse, text = paths["train_sparse"], paths["train_text"]
-        dev_sparse, dev_text = paths["test_sparse"], paths["test_text"]
+def _load_train_data(args, config: TrainConfig):
+    """(out dir, train set, dev set or None, vocab, input paths) from the train/ablate flags."""
+    if not args.out_dir:
+        raise UsageError(f"{args.command} requires --out-dir")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.synth:
+        paths = make_synthetic_corpus(seed=config.seed).write(out_dir / "data")
+        inputs = {"sparse": paths["train_sparse"], "text": paths["train_text"],
+                  "dev_sparse": paths["test_sparse"], "dev_text": paths["test_text"]}
     else:
-        sparse = _require_file(args.sparse, "--sparse training file")
-        text = _require_file(args.text, "--text training file")
-        dev_sparse = Path(args.dev_sparse) if getattr(args, "dev_sparse", None) else None
-        dev_text = Path(args.dev_text) if getattr(args, "dev_text", None) else None
-        if dev_sparse is not None:
-            dev_sparse = _require_file(str(dev_sparse), "--dev-sparse file")
-            dev_text = _require_file(str(dev_text), "--dev-text file")
-    vocab = build_vocab(text, min_freq=config.min_freq)
-    train_ds = load_dataset(sparse, text, vocab, max_len=config.max_len, split="train")
+        inputs = {"sparse": _require_file(args.sparse, "--sparse training file"),
+                  "text": _require_file(args.text, "--text training file")}
+        if (args.dev_sparse is None) != (args.dev_text is None):
+            raise UsageError("--dev-sparse and --dev-text go together: give both or neither")
+        if args.dev_sparse is not None:
+            inputs.update(dev_sparse=_require_file(args.dev_sparse, "--dev-sparse file"),
+                          dev_text=_require_file(args.dev_text, "--dev-text file"))
+    vocab = build_vocab(inputs["text"], min_freq=config.min_freq)
+    train_ds = load_dataset(inputs["sparse"], inputs["text"], vocab, max_len=config.max_len, split="train")
     dev_ds = None
-    if dev_sparse is not None:
-        dev_ds = load_dataset(dev_sparse, dev_text, vocab, max_len=config.max_len, split="test")
-    inputs = {"sparse": sparse, "text": text}
-    if dev_sparse is not None:
-        inputs.update(dev_sparse=dev_sparse, dev_text=dev_text)
-    return train_ds, dev_ds, vocab, inputs
+    if "dev_sparse" in inputs:
+        dev_ds = load_dataset(inputs["dev_sparse"], inputs["dev_text"], vocab, max_len=config.max_len, split="test")
+    return out_dir, train_ds, dev_ds, vocab, inputs
 
 
 def _load_run(ckpt_path: Path):
@@ -210,7 +209,7 @@ def _load_run(ckpt_path: Path):
     manifest_path = ckpt_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"no manifest.json next to {ckpt_path}")
-    config = config_from_dict(_read_config_file(manifest_path))
+    config = TrainConfig(**_read_config_file(manifest_path))
     artifacts = json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]
     vocab = Vocab.load(_require_file(artifacts.get("vocab"), "vocab artifact"))
     cmap = ClusterMap.load(_require_file(artifacts.get("clusters"), "cluster map artifact"))
@@ -226,7 +225,7 @@ def cmd_cluster(args) -> int:
     sparse = _require_file(args.sparse, "--sparse training file")
     out = Path(args.out)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    dataset = load_dataset(sparse, split="train", max_len=args.max_len or 128)
+    dataset = load_dataset(sparse, split="train")
     reps = build_label_reps(dataset)
     cmap = build_cluster_map(reps, args.max_size, seed)
     cmap.save(out)
@@ -246,14 +245,10 @@ def cmd_cluster(args) -> int:
 
 def cmd_train(args) -> int:
     config = resolve_train_config(args)
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir is None:
-        raise UsageError("train requires --out-dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds, dev_ds, vocab, inputs = _load_train_data(args, config, out_dir)
+    out_dir, train_ds, dev_ds, vocab, inputs = _load_train_data(args, config)
 
     cmap = None
-    if getattr(args, "clusters", None):
+    if args.clusters:
         cmap = ClusterMap.load(_require_file(args.clusters, "--clusters map file"))
         inputs["clusters"] = Path(args.clusters)
 
@@ -292,7 +287,7 @@ def cmd_predict(args) -> int:
     lines = text.read_text(encoding="utf-8").splitlines()
     docs = [Document(i, tokenize(line, vocab, config.max_len), (), None) for i, line in enumerate(lines)]
     dataset = XmcDataset(docs, bundle.num_labels, feature_dim=0, split="test", vocab=vocab)
-    b_top = args.b_top or resolve_b_top(config, dataset, bundle.cluster_map)
+    b_top = args.b_top if args.b_top is not None else resolve_b_top(config, dataset, bundle.cluster_map)
 
     out_path = Path(args.out) if args.out else None
     sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
@@ -332,8 +327,11 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"label space mismatch: test has {dataset.num_labels}, model has {bundles[0].num_labels}"
         )
-    ks = tuple(int(v) for v in args.k.split(","))
-    b_top = args.b_top or resolve_b_top(config, dataset, bundles[0].cluster_map)
+    try:
+        ks = tuple(int(v) for v in args.k.split(","))
+    except ValueError:
+        raise UsageError(f"--k must be comma-separated integers, got {args.k!r}") from None
+    b_top = args.b_top if args.b_top is not None else resolve_b_top(config, dataset, bundles[0].cluster_map)
     report = evaluate(dataset, bundles, b_top=b_top, ks=ks, use_swa=_resolve_weights_flag(args.weights))
     print(report.table())
     print(report.machine_lines())
@@ -342,11 +340,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = resolve_train_config(args)
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir is None:
-        raise UsageError("ablate requires --out-dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds, vocab, inputs = _load_train_data(args, config, out_dir)
+    out_dir, train_ds, test_ds, vocab, inputs = _load_train_data(args, config)
     if test_ds is None:
         raise UsageError("ablate needs a dev/test split (--dev-sparse/--dev-text or --synth)")
 
@@ -409,9 +403,10 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     t.set_verify_mode(True)
     started = time.perf_counter()
-    enc_err = encoder_grad_check(seed=args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    enc_err = encoder_grad_check(**seed)
     print(f"encoder grad check: max rel err {enc_err:.3e}")
-    joint_err = micro_joint_grad_check(seed=args.seed or 3)
+    joint_err = micro_joint_grad_check(**seed)
     print(f"joint loss grad check: max rel err {joint_err:.3e}")
     elapsed = time.perf_counter() - started
     ok = enc_err < GRAD_TOLERANCE and joint_err < GRAD_TOLERANCE
@@ -424,42 +419,30 @@ def cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    verify = argparse.ArgumentParser(add_help=False)
+    verify.add_argument("--verify", action="store_true", help="64-bit deterministic mode")
+    common = argparse.ArgumentParser(add_help=False, parents=[verify])
     common.add_argument("--seed", type=int, default=None,
                         help=f"global random seed (default {DEFAULT_SEED})")
-    common.add_argument("--verify", action="store_true", help="64-bit deterministic mode")
-    common.add_argument("--config", help="key=value overrides file, or a previous manifest.json")
 
     train_flags = argparse.ArgumentParser(add_help=False)
-    train_flags.add_argument("--preset", choices=sorted(PRESETS), help="named hyperparameter preset")
+    train_flags.add_argument("--config", help="key=value overrides file, or a previous manifest.json")
     train_flags.add_argument("--sparse", help="training sparse file (N D L header)")
     train_flags.add_argument("--text", help="training raw text, one doc per line")
     train_flags.add_argument("--dev-sparse", dest="dev_sparse")
     train_flags.add_argument("--dev-text", dest="dev_text")
     train_flags.add_argument("--synth", action="store_true", help="generate the built-in synthetic corpus")
     train_flags.add_argument("--out-dir", dest="out_dir")
-    train_flags.add_argument("--epochs", type=int)
-    train_flags.add_argument("--batch-size", dest="batch_size", type=int)
-    train_flags.add_argument("--b-top", dest="b_top", type=int)
-    train_flags.add_argument("--embed-dim", dest="embed_dim", type=int)
-    train_flags.add_argument("--max-size", dest="max_size", type=int, help="max labels per cluster (s)")
-    train_flags.add_argument("--max-len", dest="max_len", type=int)
-    train_flags.add_argument("--lr", type=float)
-    train_flags.add_argument("--weight-decay", dest="weight_decay", type=float)
-    train_flags.add_argument("--dropout", type=float)
-    train_flags.add_argument("--sampling", choices=["dynamic", "static"])
-    train_flags.add_argument("--swa-start", dest="swa_start", type=int)
-    train_flags.add_argument("--hidden", type=int)
-    train_flags.add_argument("--layers", type=int)
-    train_flags.add_argument("--heads", type=int)
-    train_flags.add_argument("--ff-dim", dest="ff_dim", type=int)
-    train_flags.add_argument("--concat-layers", dest="concat_layers", type=int)
-    train_flags.add_argument("--block-dropout", dest="block_dropout", type=float)
-    train_flags.add_argument("--min-freq", dest="min_freq", type=int)
+    defaults = TrainConfig()
+    for name, (kind, _, choices) in _SCHEMA.items():
+        if name in ("seed", "grad_clip"):  # --seed is common; grad_clip has only --no-grad-clip
+            continue
+        how = {"choices": choices} if choices else {"type": kind}
+        if kind is bool:  # None when left out, so that the config file's or the preset's value stands
+            how = {"action": "store_true", "default": None}
+        train_flags.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+                                 help=f"default {getattr(defaults, name)}", **how)
     train_flags.add_argument("--no-grad-clip", dest="no_grad_clip", action="store_true")
-    train_flags.add_argument("--decay-bias-norm", dest="decay_bias_norm", action="store_true",
-                             help="apply weight decay to biases and norm weights too")
-    train_flags.add_argument("--bottleneck", choices=["sigmoid", "relu"])
 
     parser = argparse.ArgumentParser(prog="xmc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"xmc {__version__}")
@@ -468,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster = sub.add_parser("cluster", parents=[common], help="build a balanced label cluster map")
     p_cluster.add_argument("--sparse", required=True)
     p_cluster.add_argument("--max-size", dest="max_size", type=int, required=True)
-    p_cluster.add_argument("--max-len", dest="max_len", type=int)
     p_cluster.add_argument("--out", required=True)
     p_cluster.set_defaults(func=cmd_cluster)
 
@@ -476,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
     p_train.add_argument("--clusters", help="pre-built cluster map file")
 
-    p_predict = sub.add_parser("predict", parents=[common], help="rank labels for raw text")
+    p_predict = sub.add_parser("predict", parents=[verify], help="rank labels for raw text")
     p_predict.add_argument("--ckpt", required=True)
     p_predict.add_argument("--text", required=True)
     p_predict.add_argument("--out")
@@ -485,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--weights", choices=["auto", "swa", "raw"], default="auto")
     p_predict.set_defaults(func=cmd_predict)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="P@k evaluation")
+    p_eval = sub.add_parser("eval", parents=[verify], help="P@k evaluation")
     p_eval.add_argument("--ckpt")
     p_eval.add_argument("--ensemble", help="comma-separated checkpoints")
     p_eval.add_argument("--sparse", required=True)
@@ -508,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "verify", False):
+    if args.verify:
         t.set_verify_mode(True)
     try:
         return args.func(args)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class TrainConfig:
     learning_rate: float = 1e-4
     weight_decay: float = 0.01
     dropout: float = 0.5
-    sampling_mode: str = "dynamic"  # or "static"
+    sampling_mode: Literal["dynamic", "static"] = "dynamic"
     swa_start_epoch: int | None = None  # default: epochs // 2 + 1
     seed: int = 7
     # encoder dims are deliberately separate flags so a preset's training
@@ -57,7 +58,7 @@ class TrainConfig:
     min_freq: int = 1
     grad_clip: float | None = 5.0
     decay_bias_norm: bool = False  # literal reading: decay biases/norm weights too
-    bottleneck_act: str = "sigmoid"
+    bottleneck_act: Literal["sigmoid", "relu"] = "sigmoid"
 
     def resolved_swa_start(self) -> int:
         return self.swa_start_epoch if self.swa_start_epoch is not None else self.epochs // 2 + 1
@@ -97,14 +98,6 @@ def apply_preset(config: TrainConfig, preset: str) -> TrainConfig:
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choices: {sorted(PRESETS)}")
     return replace(config, preset=preset, **PRESETS[preset])
-
-
-def config_from_dict(values: dict) -> TrainConfig:
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return TrainConfig(**values)
 
 
 def default_b_top(avg_positives: float, num_clusters: int) -> int:

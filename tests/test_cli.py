@@ -1,13 +1,21 @@
 """CLI surface tests: subcommands, manifests, exit codes, config precedence."""
 
+import argparse
 import json
+import re
 import shutil
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xmc.cli import main, resolve_train_config, build_parser
+from xmc.errors import UsageError
 from xmc.synth import make_synthetic_corpus
+from xmc.trainer import PRESETS, TrainConfig
 
 TINY_FLAGS = [
     "--epochs", "2", "--batch-size", "8", "--b-top", "2", "--embed-dim", "8",
@@ -128,6 +136,14 @@ def test_train_with_corrupt_cluster_map_exit_3(tmp_path, corpus_files):
         ("--config", "bad.json", '{\n  "config": {\n    "epochs": 2,\n  }\n}\n', 4),
         ("--config", "null_config.json", '{"config": null}\n', 1),
         ("--config", "top_level_list.json", "[1, 2]\n", 1),
+        ("--config", "float_epochs.json", '{"epochs": 2.5}\n', 1),
+        ("--config", "list_hidden.json", '{"hidden": [16]}\n', 1),
+        ("--config", "null_epochs.json", '{"epochs": null}\n', 1),
+        ("--config", "bool_epochs.json", '{"epochs": true}\n', 1),
+        ("--config", "nested_bad_lr.json", '{\n  "tool": "xmc",\n  "config": {\n    "epochs": 2,\n    "learning_rate": "fast"\n  }\n}\n', 5),
+        ("--config", "empty_epochs.txt", "epochs=\n", 1),
+        ("--config", "maybe_bool.txt", "decay_bias_norm=maybe\n", 1),
+        ("--config", "bad_preset.txt", "epochs=2\npreset=nonsense\n", 2),
         ("--clusters", "out_of_range.txt", "2 8 4 0\n0 1 2 3\n4 5 6 9\n", 3),
         ("--clusters", "non_integer.txt", "2 8 4 0\n0 1 x 3\n4 5 6 7\n", 2),
         ("--sparse", "nan.txt", "2 4 2\n0 1:1.0\n1 1:nan\n", 3),
@@ -153,6 +169,15 @@ def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_ru
                      "--out-dir", str(tmp_path / "r"), flag, str(bad), *TINY_FLAGS])
     assert code == 2
     assert f"{bad}:{line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dev_flag", ["--dev-sparse", "--dev-text"])
+def test_dev_flags_go_together(tmp_path, corpus_files, capsys, dev_flag):
+    code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
+                 "--text", str(corpus_files["train_text"]), dev_flag, str(corpus_files["test_text"]),
+                 "--out-dir", str(tmp_path / "r"), *TINY_FLAGS])
+    assert code == 2
+    assert "--dev-sparse and --dev-text go together" in capsys.readouterr().err
 
 
 def test_train_missing_out_dir_exit_2(corpus_files):
@@ -196,6 +221,24 @@ def test_eval_ensemble_of_same_run(capsys, trained_run, corpus_files):
                  "--text", str(corpus_files["test_text"]), "--k", "1,3"])
     assert code == 0
     assert "p1=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", ["abc", "", "1,,3"])
+def test_eval_malformed_k_exit_2(capsys, trained_run, corpus_files, k):
+    code = main(["eval", "--ckpt", str(trained_run / "final.ckpt"),
+                 "--sparse", str(corpus_files["test_sparse"]),
+                 "--text", str(corpus_files["test_text"]), "--k", k])
+    assert code == 2
+    assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_b_top_zero_is_out_of_range(capsys, trained_run, corpus_files, command):
+    inputs = ["--sparse", str(corpus_files["test_sparse"])] if command == "eval" else []
+    code = main([command, "--ckpt", str(trained_run / "final.ckpt"), *inputs,
+                 "--text", str(corpus_files["test_text"]), "--b-top", "0"])
+    assert code == 2
+    assert "b_top=0 outside [1, " in capsys.readouterr().err
 
 
 def test_eval_requires_exactly_one_source(trained_run, corpus_files):
@@ -273,6 +316,115 @@ def test_unknown_config_key_exit_2(tmp_path, corpus_files):
     assert code == 2
 
 
+def test_config_file_preset_applies_beneath_its_values(tmp_path):
+    cfg = tmp_path / "preset.txt"
+    cfg.write_text("preset=eurlex-4k\nepochs=3\n")
+    config = resolve_train_config(build_parser().parse_args(["train", "--config", str(cfg)]))
+    assert config.preset == "eurlex-4k"
+    assert config.epochs == 3  # the file's value beats its preset
+    assert (config.max_len, config.cluster_size) == (512, 1)  # the preset applies where the file is silent
+    flagged = resolve_train_config(build_parser().parse_args(["train", "--config", str(cfg), "--preset", "synth-64"]))
+    assert (flagged.preset, flagged.epochs, flagged.max_len) == ("synth-64", 3, 16)  # --preset beats the file's
+
+
+_HINTS = typing.get_type_hints(TrainConfig)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_CONFIG_VALUES = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), _TEXT, st.lists(st.integers(), max_size=2),
+    st.integers().map(str), st.floats().map(str),
+    st.sampled_from([*PRESETS, "dynamic", "static", "sigmoid", "relu", "true", "false", "none", "yes"]),
+)
+
+
+def _has_declared_type(value, hint) -> bool:
+    if typing.get_origin(hint) is typing.Literal:
+        return value in typing.get_args(hint)
+    return type(value) in (typing.get_args(hint) or (hint,))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    entries=st.lists(st.tuples(st.sampled_from([f.name for f in fields(TrainConfig)]) | _TEXT, _CONFIG_VALUES),
+                     max_size=5),
+    form=st.sampled_from(["key=value", "flat json", "manifest json"]),
+)
+def test_config_file_values_are_typed_or_located(tmp_path, entries, form):
+    if form == "key=value":
+        path = tmp_path / "config.txt"
+        path.write_text("".join(f"{k}={'none' if v is None else v if isinstance(v, str) else json.dumps(v)}\n"
+                                for k, v in entries), encoding="utf-8")
+    else:
+        path = tmp_path / "config.json"
+        block = dict(entries)
+        path.write_text(json.dumps({"config": block} if form == "manifest json" else block, indent=2))
+    try:
+        config = resolve_train_config(build_parser().parse_args(["train", "--config", str(path)]))
+    except UsageError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+    else:
+        for name, hint in _HINTS.items():
+            assert _has_declared_type(getattr(config, name), hint), (name, getattr(config, name))
+
+
+# ---------------------------------------------------------------------------
+# flag surface
+
+_TRAIN_SURFACE = {
+    "--seed": (int, None, "_StoreAction"),
+    "--verify": (None, None, "_StoreTrueAction"),
+    "--config": (None, None, "_StoreAction"),
+    "--preset": (None, sorted(PRESETS), "_StoreAction"),
+    "--sparse": (None, None, "_StoreAction"),
+    "--text": (None, None, "_StoreAction"),
+    "--dev-sparse": (None, None, "_StoreAction"),
+    "--dev-text": (None, None, "_StoreAction"),
+    "--synth": (None, None, "_StoreTrueAction"),
+    "--out-dir": (None, None, "_StoreAction"),
+    "--epochs": (int, None, "_StoreAction"),
+    "--batch-size": (int, None, "_StoreAction"),
+    "--b-top": (int, None, "_StoreAction"),
+    "--embed-dim": (int, None, "_StoreAction"),
+    "--max-size": (int, None, "_StoreAction"),
+    "--max-len": (int, None, "_StoreAction"),
+    "--lr": (float, None, "_StoreAction"),
+    "--weight-decay": (float, None, "_StoreAction"),
+    "--dropout": (float, None, "_StoreAction"),
+    "--sampling": (None, ["dynamic", "static"], "_StoreAction"),
+    "--swa-start": (int, None, "_StoreAction"),
+    "--hidden": (int, None, "_StoreAction"),
+    "--layers": (int, None, "_StoreAction"),
+    "--heads": (int, None, "_StoreAction"),
+    "--ff-dim": (int, None, "_StoreAction"),
+    "--concat-layers": (int, None, "_StoreAction"),
+    "--block-dropout": (float, None, "_StoreAction"),
+    "--min-freq": (int, None, "_StoreAction"),
+    "--no-grad-clip": (None, None, "_StoreTrueAction"),
+    "--decay-bias-norm": (None, None, "_StoreTrueAction"),
+    "--bottleneck": (None, ["relu", "sigmoid"], "_StoreAction"),
+}
+
+
+def test_flag_surface_is_frozen():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    surface = {
+        name: {
+            opt: (a.type, sorted(a.choices) if a.choices else None, type(a).__name__)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction) for opt in a.option_strings
+        }
+        for name, sub in commands.items()
+    }
+    assert surface["train"] == {**_TRAIN_SURFACE, "--clusters": (None, None, "_StoreAction")}
+    assert surface["ablate"] == _TRAIN_SURFACE
+    # flags no command reads are gone: --config outside train/ablate, --seed on
+    # predict/eval, --max-len on cluster
+    assert set(surface["cluster"]) == {"--seed", "--verify", "--sparse", "--max-size", "--out"}
+    assert set(surface["predict"]) == {"--verify", "--ckpt", "--text", "--out", "--k", "--b-top", "--weights"}
+    assert set(surface["eval"]) == {"--verify", "--ckpt", "--ensemble", "--sparse", "--text", "--k", "--b-top",
+                                    "--weights"}
+    assert set(surface["gradcheck"]) == {"--seed", "--verify"}
+
+
 # ---------------------------------------------------------------------------
 # gradcheck (verify-mode, slowish but bounded)
 
@@ -285,3 +437,16 @@ def test_gradcheck_command_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.slow
+def test_gradcheck_without_seed_is_reproducible(capsys):
+    import xmc.tensor as t
+
+    runs = []
+    for _ in range(2):
+        code = main(["gradcheck"])
+        t.set_verify_mode(False)
+        assert code == 0
+        runs.append(capsys.readouterr().out.splitlines()[:2])  # the last line holds the wall time
+    assert runs[0] == runs[1]
