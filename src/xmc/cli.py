@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from . import tensor as t
 from .cluster import ClusterMap, build_cluster_map, build_label_reps
-from .corpus import Vocab, batch_iter, build_vocab, load_dataset
+from .corpus import Document, Vocab, XmcDataset, batch_iter, build_vocab, load_dataset, read_text, tokenize
 from .encoder import encoder_grad_check
 from .errors import ConfigError, ParseError, UsageError, XmcError
 from .predict import evaluate, predict_batch
@@ -33,7 +33,6 @@ from .trainer import (
     apply_preset,
     load_bundle,
     micro_joint_grad_check,
-    resolve_b_top,
     train,
 )
 
@@ -52,7 +51,7 @@ def _read_config_file(path: Path) -> dict:
     previously written manifest."""
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     if path.suffix == ".json":
         try:
             payload = json.loads(text)
@@ -77,11 +76,12 @@ def _read_config_file(path: Path) -> dict:
     values = {}
     for lineno, key, value in entries:
         where = f"{path}:{lineno}"
-        if key == "rank_target_invert":
-            # written by versions that had a debug-only inverted-target switch
-            if str(value).lower() != "false":
-                raise UsageError(f"{where}: rank_target_invert={value} is no longer supported; only false loads")
-            continue
+        if key in _RETIRED:
+            spec, kept = _RETIRED[key]
+            with contextlib.suppress(UsageError):
+                if _coerce(where, key, value, spec) == kept:
+                    continue
+            raise UsageError(f"{where}: {key}={value} is no longer supported; only {kept} loads")
         values[key] = _coerce(where, key, value)
     return values
 
@@ -117,16 +117,22 @@ def _field_type(name: str, hint) -> tuple[type, bool, tuple | None]:
 _SCHEMA = {name: _field_type(name, hint) for name, hint in typing.get_type_hints(TrainConfig).items()}
 # flag names that predate the schema; the rest are --field-name
 _FLAG_NAMES = {"cluster_size": "--max-size", "learning_rate": "--lr", "sampling_mode": "--sampling",
-               "swa_start_epoch": "--swa-start", "n_layers": "--layers", "n_heads": "--heads",
-               "bottleneck_act": "--bottleneck"}
+               "swa_start_epoch": "--swa-start", "n_layers": "--layers", "n_heads": "--heads"}
+# Switches older manifests still carry: (their type, as _field_type gives it;
+# the value the code now always uses).  A file loads only with that value.
+_RETIRED = {
+    "rank_target_invert": ((bool, False, None), False),
+    "decay_bias_norm": ((bool, False, None), False),
+    "bottleneck_act": ((str, False, ("sigmoid", "relu")), "sigmoid"),
+    "grad_clip": ((float, True, None), 5.0),
+}
 
 
-def _coerce(where: str, key: str, value):
-    """A key=value string or a JSON value checked against the declared type of
-    TrainConfig.<key>; anything else is a usage error located at ``where``."""
-    if key not in _SCHEMA:
+def _coerce(where: str, key: str, value, spec: tuple | None = None):
+    """A config value checked against the declared type of TrainConfig.<key>, or ``spec``; else a usage error."""
+    if spec is None and key not in _SCHEMA:
         raise UsageError(f"{where}: unknown config key {key!r}")
-    kind, optional, choices = _SCHEMA[key]
+    kind, optional, choices = spec or _SCHEMA[key]
     if value is None or (isinstance(value, str) and value.lower() in ("none", "")):
         if optional:
             return None
@@ -142,9 +148,7 @@ def _coerce(where: str, key: str, value):
 def resolve_train_config(args) -> TrainConfig:
     """Defaults < preset < --config file < explicit flags.  A preset named in
     the config file applies beneath that file's values, as --preset does."""
-    flags = {name: value for name in _SCHEMA if name != "grad_clip" and (value := getattr(args, name)) is not None}
-    if args.no_grad_clip:
-        flags["grad_clip"] = None
+    flags = {name: value for name in _SCHEMA if (value := getattr(args, name)) is not None}
     file_values = _read_config_file(Path(args.config)) if args.config else {}
     preset = flags.get("preset") or file_values.get("preset")
     config = apply_preset(TrainConfig(), preset) if preset else TrainConfig()
@@ -204,17 +208,22 @@ def _load_train_data(args, config: TrainConfig):
     return out_dir, train_ds, dev_ds, vocab, inputs
 
 
-def _load_run(ckpt_path: Path):
-    """Rebuild (bundle, config, vocab) from a checkpoint and its sibling manifest."""
+def _load_run(ckpt_path: Path, b_top: int | None):
+    """(bundle, config, vocab, b_top) from a checkpoint and its sibling manifest;
+    ``b_top`` is the flag's value, else the one the run trained with."""
     manifest_path = ckpt_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"no manifest.json next to {ckpt_path}")
     config = TrainConfig(**_read_config_file(manifest_path))
-    artifacts = json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]
+    artifacts = json.loads(read_text(manifest_path)).get("artifacts")
+    if not isinstance(artifacts, dict):
+        raise UsageError(f"{manifest_path}:1: no artifacts object; not a train manifest")
+    if b_top is None and config.b_top is None:
+        raise UsageError(f"{manifest_path}: b_top is null (the run predates recording it); pass --b-top")
     vocab = Vocab.load(_require_file(artifacts.get("vocab"), "vocab artifact"))
     cmap = ClusterMap.load(_require_file(artifacts.get("clusters"), "cluster map artifact"))
     bundle = load_bundle(ckpt_path, config, vocab.size, cmap)
-    return bundle, config, vocab
+    return bundle, config, vocab, config.b_top if b_top is None else b_top
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +276,8 @@ def cmd_train(args) -> int:
     if config.sampling_mode == "static":
         # frozen candidates come from the freshly initialized model
         artifacts["static_cache_snapshot"] = f"initialized-seed-{config.seed}"
-    _write_manifest(out_dir / "manifest.json", "train", config, inputs, artifacts, config.seed)
+    # bundle.config records the b_top that training resolved
+    _write_manifest(out_dir / "manifest.json", "train", bundle.config, inputs, artifacts, config.seed)
     print(f"run complete: {out_dir / 'final.ckpt'} (sampling={config.sampling_mode})")
     return 0
 
@@ -279,15 +289,11 @@ def _resolve_weights_flag(value: str) -> bool | None:
 def cmd_predict(args) -> int:
     ckpt = _require_file(args.ckpt, "--ckpt checkpoint")
     text = _require_file(args.text, "--text input file")
-    bundle, config, vocab = _load_run(ckpt)
+    bundle, config, vocab, b_top = _load_run(ckpt, args.b_top)
     use_swa = _resolve_weights_flag(args.weights)
-
-    from .corpus import Document, XmcDataset, tokenize
-
-    lines = text.read_text(encoding="utf-8").splitlines()
+    lines = read_text(text).splitlines()
     docs = [Document(i, tokenize(line, vocab, config.max_len), (), None) for i, line in enumerate(lines)]
     dataset = XmcDataset(docs, bundle.num_labels, feature_dim=0, split="test", vocab=vocab)
-    b_top = args.b_top if args.b_top is not None else resolve_b_top(config, dataset, bundle.cluster_map)
 
     out_path = Path(args.out) if args.out else None
     sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
@@ -314,9 +320,9 @@ def cmd_eval(args) -> int:
     if bool(args.ckpt) == bool(args.ensemble):
         raise UsageError("eval needs exactly one of --ckpt or --ensemble")
     ckpts = [args.ckpt] if args.ckpt else args.ensemble.split(",")
-    loaded = [_load_run(_require_file(c, "checkpoint")) for c in ckpts]
-    bundles = [b for b, _, _ in loaded]
-    config, vocab = loaded[0][1], loaded[0][2]
+    loaded = [_load_run(_require_file(c, "checkpoint"), args.b_top) for c in ckpts]
+    bundles = [b for b, _, _, _ in loaded]
+    _, config, vocab, b_top = loaded[0]
 
     sparse = _require_file(args.sparse, "--sparse test file")
     text = _require_file(args.text, "--text test file")
@@ -331,7 +337,6 @@ def cmd_eval(args) -> int:
         ks = tuple(int(v) for v in args.k.split(","))
     except ValueError:
         raise UsageError(f"--k must be comma-separated integers, got {args.k!r}") from None
-    b_top = args.b_top if args.b_top is not None else resolve_b_top(config, dataset, bundles[0].cluster_map)
     report = evaluate(dataset, bundles, b_top=b_top, ks=ks, use_swa=_resolve_weights_flag(args.weights))
     print(report.table())
     print(report.machine_lines())
@@ -354,8 +359,7 @@ def cmd_ablate(args) -> int:
     for name, variant in variants.items():
         run_dir = out_dir / name
         bundle, metrics = train(train_ds, variant, dev=None, out_dir=run_dir)
-        b_top = resolve_b_top(variant, train_ds, bundle.cluster_map)
-        report = evaluate(test_ds, [bundle], b_top=b_top)
+        report = evaluate(test_ds, [bundle], b_top=bundle.config.b_top)
         results[name] = {f"p{k}": v for k, v in report.precision.items()}
         results[name]["cluster_recall"] = report.cluster_recall
         curves[name] = metrics
@@ -435,14 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     train_flags.add_argument("--out-dir", dest="out_dir")
     defaults = TrainConfig()
     for name, (kind, _, choices) in _SCHEMA.items():
-        if name in ("seed", "grad_clip"):  # --seed is common; grad_clip has only --no-grad-clip
+        if name == "seed":  # a common flag
             continue
         how = {"choices": choices} if choices else {"type": kind}
-        if kind is bool:  # None when left out, so that the config file's or the preset's value stands
-            how = {"action": "store_true", "default": None}
         train_flags.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
                                  help=f"default {getattr(defaults, name)}", **how)
-    train_flags.add_argument("--no-grad-clip", dest="no_grad_clip", action="store_true")
 
     parser = argparse.ArgumentParser(prog="xmc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"xmc {__version__}")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import XmcDataset
+from .corpus import XmcDataset, read_text
 from .errors import ConfigError, ContractError, ParseError
 
 MAX_ITERS = 50
@@ -66,29 +66,36 @@ class ClusterMap:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterMap":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise ParseError(f"{path}: empty cluster map")
+        """A map as :meth:`save` writes it; anything else is a ParseError at file:line (the header's at line 1)."""
+        lines = read_text(path).splitlines()
         try:
-            k, num_labels, s, seed = (int(v) for v in lines[0].split())
+            k, num_labels, s, seed = (int(v) for v in (lines[0].split() if lines else ()))
         except ValueError as exc:
             raise ParseError(f"{path}:1: header must be 'K L s seed'") from exc
+        if num_labels < 1:
+            raise ParseError(f"{path}:1: label count must be >= 1, got {num_labels}")
         if len(lines) - 1 != k:
-            raise ParseError(f"{path}: header says {k} clusters, file has {len(lines) - 1}")
+            raise ParseError(f"{path}:1: header says {k} clusters, file has {len(lines) - 1}")
         members = []
-        assign = np.full(num_labels, -1, dtype=np.int64)
         for lineno, line in enumerate(lines[1:], 2):
             try:
                 labels = np.array([int(v) for v in line.split()], dtype=np.int64)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}:{lineno}: label ids must be integers") from exc
-            if len(labels) and (labels.min() < 0 or labels.max() >= num_labels):
-                raise ParseError(f"{path}:{lineno}: label id outside [0, {num_labels})")
-            assign[labels] = len(members)
+            if len(labels) == 0 or labels.min() < 0 or labels.max() >= num_labels or np.any(np.diff(labels) <= 0):
+                raise ParseError(f"{path}:{lineno}: expected strictly increasing label ids in [0, {num_labels})")
             members.append(labels)
-        cmap = cls(assign, members, s, seed)
-        cmap.validate()
-        return cmap
+        held = sum(len(labels) for labels in members)
+        if held < num_labels:  # checked before the (L,) array is allocated
+            raise ParseError(f"{path}:1: header says {num_labels} labels, its clusters hold {held}")
+        assign = np.full(num_labels, -1, dtype=np.int64)
+        for cid, labels in enumerate(members):
+            again = labels[assign[labels] >= 0]
+            if len(again):
+                raise ParseError(f"{path}:{cid + 2}: label {again[0]} is already in cluster {assign[again[0]]}")
+            assign[labels] = cid
+        # every label in range, none twice, at least L of them: each label once
+        return cls(assign, members, s, seed)
 
 
 def build_label_reps(dataset: XmcDataset) -> sp.csr_array:

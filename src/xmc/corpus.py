@@ -8,6 +8,7 @@ file has one document per line, aligned with the sparse file by line number.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from collections import Counter
@@ -25,6 +26,28 @@ UNK_ID = 2
 NUM_RESERVED = 3
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+@contextlib.contextmanager
+def open_text(path: str | Path):
+    """An input file opened as UTF-8 text; a directory, or a byte that is not
+    UTF-8 (located at the line that holds it), raises ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except IsADirectoryError:
+        raise ParseError(f"{path} is a directory, not a text file") from None
+    except UnicodeDecodeError:
+        # undecodable bytes come back as the lone surrogates U+DC80..U+DCFF
+        text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+        bad = re.search("[\udc80-\udcff]", text)
+        line = text.count("\n", 0, bad.start()) + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text (byte {ord(bad.group()) - 0xDC00:#04x})") from None
+
+
+def read_text(path: str | Path) -> str:
+    with open_text(path) as fh:
+        return fh.read()
 
 
 @dataclass
@@ -66,9 +89,9 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         if not lines:
-            raise ParseError(f"{path}: empty vocab file")
+            raise ParseError(f"{path}:1: empty vocab file")
         try:
             min_freq = int(lines[0])
         except ValueError as exc:
@@ -106,7 +129,7 @@ def load_sparse(path: str | Path, require_labels: bool = True):
     rows must carry at least one label (``require_labels``).
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ParseError(f"{path}:1: header must be 'N D L', got {header}")
@@ -114,6 +137,8 @@ def load_sparse(path: str | Path, require_labels: bool = True):
             n, dim, num_labels = (int(v) for v in header)
         except ValueError as exc:
             raise ParseError(f"{path}:1: non-integer header field") from exc
+        if not all(0 <= v < 2**63 for v in (n, dim, num_labels)):
+            raise ParseError(f"{path}:1: header fields must be non-negative 64-bit integers, got {header}")
 
         rows: list[tuple[tuple[int, ...], SparseVec]] = []
         for lineno, line in enumerate(fh, start=2):
@@ -160,7 +185,7 @@ def load_sparse(path: str | Path, require_labels: bool = True):
             rows.append((labels, SparseVec(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64))))
 
     if len(rows) != n:
-        raise ParseError(f"{path}: header says {n} rows, file has {len(rows)}")
+        raise ParseError(f"{path}:1: header says {n} rows, file has {len(rows)}")
     return rows, n, dim, num_labels
 
 
@@ -177,12 +202,12 @@ def build_vocab(text_path: str | Path, min_freq: int = 1) -> Vocab:
     """Count tokens over one-document-per-line text; ids by (freq desc, token asc)."""
     counts: Counter[str] = Counter()
     saw_doc = False
-    with open(text_path, encoding="utf-8") as fh:
+    with open_text(text_path) as fh:
         for line in fh:
             saw_doc = True
             counts.update(split_text(line))
     if not saw_doc or not counts:
-        raise ConfigError(f"{text_path}: empty corpus, cannot build a vocabulary")
+        raise ConfigError(f"{text_path}:1: empty corpus, cannot build a vocabulary")
     kept = [(tok, c) for tok, c in counts.items() if c >= min_freq]
     kept.sort(key=lambda item: (-item[1], item[0]))
     mapping = {tok: NUM_RESERVED + i for i, (tok, _) in enumerate(kept)}
@@ -208,7 +233,7 @@ def load_dataset(
     rows, n, dim, num_labels = load_sparse(sparse_path, require_labels=(split == "train"))
     texts: list[str] | None = None
     if text_path is not None:
-        texts = Path(text_path).read_text(encoding="utf-8").splitlines()
+        texts = read_text(text_path).splitlines()
         if len(texts) != n:
             raise ParseError(
                 f"{text_path}: {len(texts)} lines but sparse file {sparse_path} has {n} rows"

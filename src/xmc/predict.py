@@ -73,7 +73,7 @@ def _score_batch(view: "ModelBundle", token_ids: np.ndarray, mask: np.ndarray, b
     sets = sample_candidates(cluster_probs, view.cluster_map, b_top)
     ids, _, _ = pad_candidates(sets)
     gathered = gather_embeddings(view.discriminator.label_emb, ids)
-    rank_probs = rank_scores(rep, gathered, view.discriminator, view.config.bottleneck_act).data
+    rank_probs = rank_scores(rep, gathered, view.discriminator).data
     return [(cs, cluster_probs[row, cs.clusters] * rank_probs[row, : len(cs)]) for row, cs in enumerate(sets)]
 
 

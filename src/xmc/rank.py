@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as t
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .recall import CandidateSet
 from .tensor import Tensor
 
@@ -73,19 +73,11 @@ def gather_embeddings(label_emb: Tensor, ids: np.ndarray) -> Tensor:
     return t.embedding(label_emb, ids)
 
 
-def rank_scores(
-    rep: Tensor,
-    gathered: Tensor,
-    params: DiscriminatorParams,
-    activation: str = "sigmoid",
-) -> Tensor:
+def rank_scores(rep: Tensor, gathered: Tensor, params: DiscriminatorParams) -> Tensor:
     """Candidate probabilities (B, n_max) from reps (B, w) and gathered rows (B, n_max, e)."""
     if rep.ndim != 2 or rep.shape[1] != params.bottleneck_w.shape[1]:
         raise DimensionError(f"rank_scores: rep shape {rep.shape} vs bottleneck {params.bottleneck_w.shape}")
-    pre = t.add(t.matmul(rep, t.transpose(params.bottleneck_w, (1, 0))), params.bottleneck_b)
-    if activation not in ("sigmoid", "relu"):
-        raise ConfigError(f"unknown bottleneck activation {activation!r}")
-    h = t.sigmoid(pre) if activation == "sigmoid" else t.relu(pre)
+    h = t.sigmoid(t.add(t.matmul(rep, t.transpose(params.bottleneck_w, (1, 0))), params.bottleneck_b))
     batch, n_max = gathered.shape[:2]
     logits = t.matmul(gathered, t.reshape(h, (batch, params.embed_dim, 1)))
     return t.reshape(t.sigmoid(logits), (batch, n_max))

@@ -91,9 +91,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     @property
     def grad(self) -> np.ndarray | None:
         return self._grad
@@ -384,16 +381,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         x._accum(g * out.data * (1.0 - out.data))
-
-    _trace(out, bwd)
-    return out
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        x._accum(g * (x.data > 0))
 
     _trace(out, bwd)
     return out

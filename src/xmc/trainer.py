@@ -30,6 +30,7 @@ from .recall import CandidateSet, GeneratorParams, init_generator, recall_loss, 
 from .tensor import Tensor
 
 DEFAULT_EMBED_DIM = 256
+GRAD_CLIP = 5.0  # global gradient-norm bound of every step
 
 
 @dataclass
@@ -56,9 +57,6 @@ class TrainConfig:
     concat_layers: int = 5
     block_dropout: float = 0.1
     min_freq: int = 1
-    grad_clip: float | None = 5.0
-    decay_bias_norm: bool = False  # literal reading: decay biases/norm weights too
-    bottleneck_act: Literal["sigmoid", "relu"] = "sigmoid"
 
     def resolved_swa_start(self) -> int:
         return self.swa_start_epoch if self.swa_start_epoch is not None else self.epochs // 2 + 1
@@ -172,39 +170,27 @@ def init_bundle(config: TrainConfig, vocab_size: int, cluster_map: ClusterMap) -
     params["discriminator.W_h"] = discriminator.bottleneck_w
     params["discriminator.b_h"] = discriminator.bottleneck_b
 
-    exempt = set() if config.decay_bias_norm else {n for n in params if is_decay_exempt(n)}
     opt = OptimizerState(
         learning_rate=config.learning_rate,
         weight_decay=config.weight_decay,
-        decay_exempt=exempt,
+        decay_exempt={n for n in params if is_decay_exempt(n)},
     )
     swa = SwaState(start_epoch=config.resolved_swa_start())
     return _bundle_views(config, enc_config, params, cluster_map, opt, swa, 0, rng)
 
 
-@dataclass
-class StaticCandidateCache:
-    """Frozen per-instance candidate sets, computed once from a model snapshot."""
-
-    sets: list[CandidateSet]
-
-    def for_batch(self, batch: Batch) -> list[CandidateSet]:
-        return [self.sets[i] for i in batch.doc_indices]
-
-
-def build_static_cache(dataset: XmcDataset, bundle: ModelBundle, config: TrainConfig) -> StaticCandidateCache:
-    """Sample candidates for every training instance with the snapshot generator."""
-    b_top = resolve_b_top(config, dataset, bundle.cluster_map)
+def build_static_cache(dataset: XmcDataset, bundle: ModelBundle, config: TrainConfig) -> list[CandidateSet]:
+    """Candidate sets by dataset position, sampled once with the snapshot generator."""
     sets: list[CandidateSet] = [None] * len(dataset)  # type: ignore[list-item]
     for batch in batch_iter(dataset, max(config.batch_size, 32), seed=0, shuffle=False):
         rep = encode(batch.token_ids, batch.mask, bundle.enc_config, bundle.params, training=False, rng=bundle.rng)
         scores = recall_scores(rep, bundle.generator).data
-        sampled = sample_candidates(scores, bundle.cluster_map, b_top, positives=batch.labels)
+        sampled = sample_candidates(scores, bundle.cluster_map, config.b_top, positives=batch.labels)
         for idx, cs in zip(batch.doc_indices, sampled):
             sets[idx] = cs
     if any(s is None for s in sets):
         raise ConfigError("static cache does not cover every training instance")
-    return StaticCandidateCache(sets)
+    return sets
 
 
 def resolve_b_top(config: TrainConfig, dataset: XmcDataset, cmap: ClusterMap) -> int:
@@ -218,7 +204,6 @@ def resolve_b_top(config: TrainConfig, dataset: XmcDataset, cmap: ClusterMap) ->
 def joint_losses(
     batch: Batch,
     bundle: ModelBundle,
-    config: TrainConfig,
     candidates: list[CandidateSet] | None = None,
     b_top: int | None = None,
     training: bool = True,
@@ -241,7 +226,7 @@ def joint_losses(
 
     ids, keep, flags = pad_candidates(candidates)
     gathered = gather_embeddings(bundle.discriminator.label_emb, ids)
-    probs = rank_scores(rep, gathered, bundle.discriminator, config.bottleneck_act)
+    probs = rank_scores(rep, gathered, bundle.discriminator)
     loss_d = rank_loss(probs, flags, keep)
     total = t.add_n([loss_g, loss_d])
     return total, loss_g, loss_d, candidates
@@ -252,15 +237,15 @@ def train_step(
     bundle: ModelBundle,
     config: TrainConfig,
     b_top: int,
-    cache: StaticCandidateCache | None = None,
+    cache: list[CandidateSet] | None = None,  # static mode: candidate sets by dataset position
 ) -> tuple[float, float]:
     """One optimizer step on L = L_g + L_d; returns the two loss values."""
     for p in bundle.params.values():
         p.grad = None
-    candidates = cache.for_batch(batch) if cache is not None else None
+    candidates = [cache[i] for i in batch.doc_indices] if cache is not None else None
     with t.record() as tape:
         total, loss_g, loss_d, _ = joint_losses(
-            batch, bundle, config, candidates=candidates, b_top=b_top, training=True
+            batch, bundle, candidates=candidates, b_top=b_top, training=True
         )
         lg, ld = float(loss_g.data), float(loss_d.data)
         if not (np.isfinite(lg) and np.isfinite(ld)):
@@ -269,8 +254,7 @@ def train_step(
                 f"loss_g={lg} loss_d={ld} lr={config.learning_rate}"
             )
         tape.backward(total)
-    if config.grad_clip is not None:
-        clip_grads(bundle.params, config.grad_clip)
+    clip_grads(bundle.params, GRAD_CLIP)
     adamw_step(bundle.params, bundle.opt)
     return lg, ld
 
@@ -293,7 +277,7 @@ def train(
     out_dir: str | Path | None = None,
     log=print,
 ):
-    """Run the full training loop; returns (bundle, per-epoch metric records)."""
+    """Run the full training loop; returns (bundle, per-epoch records). bundle.config holds the b_top used."""
     if cluster_map is None:
         reps = build_label_reps(dataset)
         cluster_map = build_cluster_map(reps, config.cluster_size, config.seed)
@@ -304,8 +288,9 @@ def train(
     if dataset.vocab is None:
         raise ConfigError("training requires a tokenized dataset (vocab missing)")
 
-    bundle = init_bundle(config, dataset.vocab.size, cluster_map)
     b_top = resolve_b_top(config, dataset, cluster_map)
+    config = replace(config, b_top=b_top)
+    bundle = init_bundle(config, dataset.vocab.size, cluster_map)
     log(f"[train] K={cluster_map.num_clusters} labels={dataset.num_labels} b_top={b_top} "
         f"sampling={config.sampling_mode} rep_width={bundle.enc_config.rep_width}")
 
@@ -313,7 +298,7 @@ def train(
     if config.sampling_mode == "static":
         cache = build_static_cache(dataset, bundle, config)
         log(f"[train] static candidate cache built from the initialized snapshot "
-            f"({len(cache.sets)} instances)")
+            f"({len(cache)} instances)")
     elif config.sampling_mode != "dynamic":
         raise ConfigError(f"sampling_mode must be dynamic|static, got {config.sampling_mode!r}")
 
@@ -417,11 +402,11 @@ def micro_joint_grad_check(seed: int = 3, h: float = 1e-5) -> float:
     """
     config, dataset, bundle = build_micro_problem(seed)
     batch = next(batch_iter(dataset, config.batch_size, seed=config.seed, epoch=1))
-    _, _, _, candidates = joint_losses(batch, bundle, config, b_top=config.b_top, training=False)
+    _, _, _, candidates = joint_losses(batch, bundle, b_top=config.b_top, training=False)
 
     def forward():
         bundle.rng = np.random.default_rng(17)
-        total, *_ = joint_losses(batch, bundle, config, candidates=candidates, training=True)
+        total, *_ = joint_losses(batch, bundle, candidates=candidates, training=True)
         return total
 
     return t.grad_check(forward, list(bundle.params.values()), h=h)

@@ -31,17 +31,17 @@ VOCAB = 30
 # per-instance references
 
 
-def _reference_rank_row(rep_row, gathered, disc, activation):
+def _reference_rank_row(rep_row, gathered, disc):
     """Probabilities of one instance's candidates, shape (n,)."""
     pre = t.add(
         t.matmul(disc.bottleneck_w, t.reshape(rep_row, (rep_row.shape[0], 1))),
         t.reshape(disc.bottleneck_b, (disc.embed_dim, 1)),
     )
-    h = t.sigmoid(pre) if activation == "sigmoid" else t.relu(pre)
+    h = t.sigmoid(pre)
     return t.reshape(t.sigmoid(t.matmul(gathered, h)), (gathered.shape[0],))
 
 
-def _reference_joint_losses(batch, bundle, config, b_top, training=True):
+def _reference_joint_losses(batch, bundle, b_top, training=True):
     cmap = bundle.cluster_map
     rep = encode(batch.token_ids, batch.mask, bundle.enc_config, bundle.params, training, bundle.rng)
     scores = recall_scores(rep, bundle.generator)
@@ -51,7 +51,7 @@ def _reference_joint_losses(batch, bundle, config, b_top, training=True):
     per_instance = []
     for i, cs in enumerate(candidates):
         gathered = t.embedding(bundle.discriminator.label_emb, cs.labels)
-        probs = _reference_rank_row(t.take(rep, i, axis=0), gathered, bundle.discriminator, config.bottleneck_act)
+        probs = _reference_rank_row(t.take(rep, i, axis=0), gathered, bundle.discriminator)
         per_instance.append(t.bce_loss(probs, cs.is_positive.astype(np.float64)))
     loss_d = t.scale(t.add_n(per_instance), 1.0 / len(candidates))
     return t.add(loss_g, loss_d), loss_g, loss_d
@@ -63,7 +63,7 @@ def _reference_fused_candidates(view, rep_row, cluster_probs, b_top):
     labels = np.concatenate([cmap.members[c] for c in chosen])
     recall_part = np.concatenate([np.full(len(cmap.members[c]), cluster_probs[c]) for c in chosen])
     gathered = t.embedding(view.discriminator.label_emb, labels)
-    rank_part = _reference_rank_row(rep_row, gathered, view.discriminator, view.config.bottleneck_act).data
+    rank_part = _reference_rank_row(rep_row, gathered, view.discriminator).data
     return labels, recall_part * rank_part
 
 
@@ -116,13 +116,12 @@ def _random_cluster_map(rng, num_labels):
     return ClusterMap(assign, members, s=max(len(m) for m in members), seed=0)
 
 
-def _random_bundle(rng, num_labels, activation):
+def _random_bundle(rng, num_labels):
     cmap = _random_cluster_map(rng, num_labels)
     config = TrainConfig(
         batch_size=int(rng.integers(1, 6)), b_top=int(rng.integers(1, cmap.num_clusters + 1)),
         embed_dim=int(rng.integers(2, 7)), cluster_size=cmap.s, max_len=8, dropout=0.3,
         hidden=8, n_layers=2, n_heads=2, ff_dim=16, seed=int(rng.integers(0, 10_000)),
-        bottleneck_act=activation,
     )
     bundle = init_bundle(config, vocab_size=VOCAB, cluster_map=cmap)
     # spread the initial scores so rankings are not decided by ties
@@ -151,8 +150,7 @@ def _problems():
     rng = np.random.default_rng(2101)
     for _ in range(MODELS):
         num_labels = int(rng.integers(4, 24))
-        activation = str(rng.choice(["sigmoid", "relu"]))
-        bundle = _random_bundle(rng, num_labels, activation)
+        bundle = _random_bundle(rng, num_labels)
         yield rng, num_labels, bundle, _random_batch(rng, num_labels, bundle.config.batch_size)
 
 
@@ -181,8 +179,8 @@ def test_joint_losses_and_gradients_match_per_instance_reference():
                 grads = {n: None if p.grad is None else p.grad.copy() for n, p in bundle.params.items()}
                 return [float(v.data) for v in (total, loss_g, loss_d)], grads
 
-            values, grads = run(lambda: joint_losses(batch, bundle, config, b_top=config.b_top))
-            ref_values, ref_grads = run(lambda: _reference_joint_losses(batch, bundle, config, config.b_top))
+            values, grads = run(lambda: joint_losses(batch, bundle, b_top=config.b_top))
+            ref_values, ref_grads = run(lambda: _reference_joint_losses(batch, bundle, config.b_top))
             np.testing.assert_allclose(values, ref_values, rtol=RTOL, atol=0.0)
             assert grads.keys() == ref_grads.keys()
             for name, ref in ref_grads.items():
@@ -207,7 +205,7 @@ def test_ensemble_predict_matches_dense_buffer_reference():
         for rng, num_labels, bundle, batch in _problems():
             # members with their own cluster maps over the same label space
             members = [bundle] + [
-                _random_bundle(rng, num_labels, bundle.config.bottleneck_act) for _ in range(int(rng.integers(1, 3)))
+                _random_bundle(rng, num_labels) for _ in range(int(rng.integers(1, 3)))
             ]
             # above some members' K, so their clamp is exercised
             b_top = max(m.cluster_map.num_clusters for m in members)
@@ -234,7 +232,7 @@ def test_evaluate_cluster_recall_matches_second_encode_reference():
         rng = np.random.default_rng(7)
         for _ in range(10):
             num_labels = int(rng.integers(4, 24))
-            members = [_random_bundle(rng, num_labels, "sigmoid") for _ in range(2)]
+            members = [_random_bundle(rng, num_labels) for _ in range(2)]
             dataset = _random_dataset(rng, num_labels, int(rng.integers(1, 9)))
             batch = next(batch_iter(dataset, len(dataset), seed=0, shuffle=False))
             b_top = min(m.cluster_map.num_clusters for m in members)
@@ -248,7 +246,7 @@ def test_predict_batch_rejects_b_top_outside_range(b_top):
     from xmc.errors import ConfigError
 
     rng = np.random.default_rng(0)
-    bundle = _random_bundle(rng, 8, "sigmoid")
+    bundle = _random_bundle(rng, 8)
     batch = _random_batch(rng, 8, 2)
     with pytest.raises(ConfigError):
         predict_batch(batch.token_ids, batch.mask, bundle, b_top, 3)

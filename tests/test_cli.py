@@ -120,15 +120,6 @@ def test_train_static_mode_recorded(tmp_path, corpus_files):
     assert manifest["artifacts"]["static_cache_snapshot"] == "initialized-seed-5"
 
 
-def test_train_with_corrupt_cluster_map_exit_3(tmp_path, corpus_files):
-    bad = tmp_path / "bad_map.txt"
-    bad.write_text("2 8 4 0\n0 1 2 3\n3 4 5 6 7\n")  # label 3 in two clusters
-    code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
-                 "--text", str(corpus_files["train_text"]),
-                 "--out-dir", str(tmp_path / "r"), "--clusters", str(bad), *TINY_FLAGS])
-    assert code == 3
-
-
 @pytest.mark.parametrize(
     "flag, name, content, line",
     [
@@ -150,12 +141,27 @@ def test_train_with_corrupt_cluster_map_exit_3(tmp_path, corpus_files):
         ("--sparse", "inf.txt", "1 4 2\n0 1:inf\n", 2),
         ("--sparse", "neg_inf.txt", "1 4 2\n0 2:-inf\n", 2),
         ("--ckpt", "vocab.txt", "abc\ntopic0\n", 1),
+        pytest.param("--config", "config.txt", b"epochs=2\n\xff\xfe=3\n", 2, id="config-not-utf8"),
+        pytest.param("--text", "raw.txt", b"topic0 word\n\xff\xfe bad\n", 2, id="text-not-utf8"),
+        pytest.param("--sparse", "sparse.txt", b"2 4 2\n0 1:1.0\n1 1:\xff\n", 3, id="sparse-not-utf8"),
+        pytest.param("--sparse", "sparse.txt", "3 4 2\n0 1:1.0\n1 1:2.0\n", 1, id="sparse-row-count"),
+        pytest.param("--clusters", "map.txt", b"2 8 4 0\n0 1 2 3\n4 5 \xff 7\n", 3, id="clusters-not-utf8"),
+        pytest.param("--clusters", "map.txt", "2 8 4 0\n0 1 2 3\n3 4 5 6 7\n", 3, id="clusters-label-twice"),
+        pytest.param("--clusters", "map.txt", "2 8 4 0\n0 1 3 2\n4 5 6 7\n", 2, id="clusters-unsorted"),
+        pytest.param("--clusters", "map.txt", "2 8 4 0\n0 1 2\n4 5 6 7\n", 1, id="clusters-label-in-none"),
+        pytest.param("--clusters", "map.txt", "3 8 4 0\n0 1 2 3\n\n4 5 6 7\n", 3, id="clusters-empty-cluster"),
+        pytest.param("--clusters", "map.txt", "3 -8 4 0\n0\n1\n2\n", 1, id="clusters-negative-label-count"),
+        pytest.param("--clusters", "map.txt", "3 8 4 0\n0 1 2 3\n4 5 6 7\n", 1, id="clusters-cluster-count"),
+        pytest.param("--ckpt", "vocab.txt", b"1\ntopic0\n\xfftopic1\n", 3, id="vocab-not-utf8"),
+        pytest.param("predict --text", "raw.txt", b"topic0 word\nword \xc3\n", 2, id="predict-text-not-utf8"),
     ],
 )
 def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_run, capsys, flag, name, content, line):
     bad = tmp_path / name
-    bad.write_text(content)
-    if flag == "--ckpt":
+    bad.write_bytes(content) if isinstance(content, bytes) else bad.write_text(content)
+    if flag == "predict --text":
+        code = main(["predict", "--ckpt", str(trained_run / "final.ckpt"), "--text", str(bad)])
+    elif flag == "--ckpt":
         # predict on a copy of a trained run whose manifest names the damaged vocab
         run = tmp_path / "run"
         shutil.copytree(trained_run, run)
@@ -169,6 +175,15 @@ def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_ru
                      "--out-dir", str(tmp_path / "r"), flag, str(bad), *TINY_FLAGS])
     assert code == 2
     assert f"{bad}:{line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--sparse", "--text", "--clusters"])
+def test_directory_input_exit_2(tmp_path, corpus_files, capsys, flag):
+    code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
+                 "--text", str(corpus_files["train_text"]),
+                 "--out-dir", str(tmp_path / "r"), flag, str(tmp_path), *TINY_FLAGS])
+    assert code == 2
+    assert f"{tmp_path} is a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dev_flag", ["--dev-sparse", "--dev-text"])
@@ -299,6 +314,64 @@ def test_manifest_with_retired_rank_target_invert(tmp_path, trained_run):
             assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize("key, kept, refused", [
+    ("rank_target_invert", [False, "false"], [True, "yes"]),
+    ("decay_bias_norm", [False, "False"], [True, 0]),
+    ("bottleneck_act", ["sigmoid"], ["relu", "tanh"]),
+    ("grad_clip", [5.0, 5, "5"], [None, "none", 1.0]),
+])
+def test_retired_switch_loads_only_at_its_fixed_value(tmp_path, trained_run, capsys, key, kept, refused):
+    manifest = json.loads((trained_run / "manifest.json").read_text())
+    expected = resolve_train_config(build_parser().parse_args(["train", "--config", str(trained_run / "manifest.json")]))
+    for i, (value, loads) in enumerate([(v, True) for v in kept] + [(v, False) for v in refused]):
+        manifest["config"][key] = value
+        path = tmp_path / f"manifest_{i}.json"
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        text = tmp_path / f"config_{i}.txt"
+        text.write_text(f"epochs=2\n{key}={'none' if value is None else value}\n")
+        if loads:
+            assert resolve_train_config(build_parser().parse_args(["train", "--config", str(path)])) == expected
+            assert resolve_train_config(build_parser().parse_args(["train", "--config", str(text)])).epochs == 2
+            continue
+        line = next(n for n, text_line in enumerate(path.read_text().splitlines(), 1) if f'"{key}"' in text_line)
+        for config, at in ((path, line), (text, 2)):
+            assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "r")]) == 2
+            err = capsys.readouterr().err
+            assert f"{config}:{at}: {key}=" in err and "no longer supported" in err
+
+
+def test_run_records_b_top_and_predict_eval_use_it(tmp_path, corpus_files, capsys):
+    run = tmp_path / "run"
+    flags = TINY_FLAGS[2:4] + TINY_FLAGS[6:]  # no --epochs, no --b-top
+    assert main(["train", "--sparse", str(corpus_files["train_sparse"]), "--text", str(corpus_files["train_text"]),
+                 "--out-dir", str(run), "--epochs", "1", *flags]) == 0
+    logged = int(re.search(r"b_top=(\d+)", capsys.readouterr().out).group(1))
+    assert json.loads((run / "manifest.json").read_text())["config"]["b_top"] == logged
+    ckpt = ["--ckpt", str(run / "final.ckpt")]
+    outputs = []
+    for b_top in ([], ["--b-top", str(logged)]):
+        assert main(["predict", *ckpt, "--text", str(corpus_files["test_text"]), *b_top]) == 0
+        assert main(["eval", *ckpt, "--sparse", str(corpus_files["test_sparse"]),
+                     "--text", str(corpus_files["test_text"]), *b_top]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_null_b_top_manifest_needs_the_flag(tmp_path, trained_run, corpus_files, capsys, command):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["config"]["b_top"] = None  # as written before runs recorded it
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    inputs = ["--sparse", str(corpus_files["test_sparse"])] if command == "eval" else []
+    args = [command, "--ckpt", str(run / "final.ckpt"), *inputs, "--text", str(corpus_files["test_text"])]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(run / "manifest.json") in err and "--b-top" in err
+    assert main([*args, "--b-top", "2"]) == 0
+
+
 def test_preset_values_resolved():
     parser = build_parser()
     args = parser.parse_args(["train", "--preset", "eurlex-4k"])
@@ -398,9 +471,6 @@ _TRAIN_SURFACE = {
     "--concat-layers": (int, None, "_StoreAction"),
     "--block-dropout": (float, None, "_StoreAction"),
     "--min-freq": (int, None, "_StoreAction"),
-    "--no-grad-clip": (None, None, "_StoreTrueAction"),
-    "--decay-bias-norm": (None, None, "_StoreTrueAction"),
-    "--bottleneck": (None, ["relu", "sigmoid"], "_StoreAction"),
 }
 
 

@@ -119,7 +119,7 @@ def test_lr_zero_leaves_params_unchanged():
 def test_total_loss_is_sum_of_parts():
     config, ds, bundle = micro_setup()
     batch = first_batch(ds, config)
-    total, lg, ld, _ = joint_losses(batch, bundle, config, b_top=2, training=False)
+    total, lg, ld, _ = joint_losses(batch, bundle, b_top=2, training=False)
     assert float(total.data) == pytest.approx(float(lg.data) + float(ld.data), abs=1e-6)
 
 
@@ -130,7 +130,7 @@ def test_gradient_flow_separation():
     for p in bundle.params.values():
         p.grad = None
     with t.record() as tape:
-        _, lg, ld, _ = joint_losses(batch, bundle, config, b_top=2, training=False)
+        _, lg, ld, _ = joint_losses(batch, bundle, b_top=2, training=False)
         tape.backward(ld)
     assert bundle.params["generator.W_g"].grad is None
     assert bundle.params["encoder.tok_emb"].grad is not None
@@ -142,13 +142,13 @@ def test_encoder_cooperation_grads_add():
     with t.verify_mode():
         config, ds, bundle = micro_setup()
         batch = first_batch(ds, config)
-        _, _, _, candidates = joint_losses(batch, bundle, config, b_top=2, training=False)
+        _, _, _, candidates = joint_losses(batch, bundle, b_top=2, training=False)
 
         def grads_from(which):
             for p in bundle.params.values():
                 p.grad = None
             with t.record() as tape:
-                total, lg, ld, _ = joint_losses(batch, bundle, config, candidates=candidates, training=False)
+                total, lg, ld, _ = joint_losses(batch, bundle, candidates=candidates, training=False)
                 tape.backward({"total": total, "g": lg, "d": ld}[which])
             g = bundle.params["encoder.tok_emb"].grad
             return np.zeros_like(bundle.params["encoder.tok_emb"].data) if g is None else g.copy()
@@ -162,12 +162,12 @@ def test_joint_micro_gradcheck():
     with t.verify_mode():
         config, ds, bundle = micro_setup()
         batch = first_batch(ds, config)
-        _, _, _, candidates = joint_losses(batch, bundle, config, b_top=2, training=False)
+        _, _, _, candidates = joint_losses(batch, bundle, b_top=2, training=False)
         rng_holder = bundle.rng
 
         def forward():
             bundle.rng = np.random.default_rng(17)  # fixed dropout masks per probe
-            total, *_ = joint_losses(batch, bundle, config, candidates=candidates, training=True)
+            total, *_ = joint_losses(batch, bundle, candidates=candidates, training=True)
             return total
 
         err = t.grad_check(forward, list(bundle.params.values()), h=1e-5)
@@ -193,8 +193,8 @@ def test_nan_loss_aborts_with_diagnostic():
 def test_static_cache_covers_all_instances():
     config, ds, bundle = micro_setup(sampling_mode="static")
     cache = build_static_cache(ds, bundle, config)
-    assert len(cache.sets) == len(ds)
-    for labels, cs in zip([d.labels for d in ds.documents], cache.sets):
+    assert len(cache) == len(ds)
+    for labels, cs in zip([d.labels for d in ds.documents], cache):
         assert set(labels) <= set(cs.labels.tolist())
 
 
@@ -203,10 +203,10 @@ def test_static_cache_first_step_equivalence():
     config, ds, bundle = micro_setup()
     cache = build_static_cache(ds, bundle, config)
     batch = first_batch(ds, config)
-    _, _, _, dynamic = joint_losses(batch, bundle, config, b_top=resolve_b_top(config, ds, bundle.cluster_map), training=False)
+    _, _, _, dynamic = joint_losses(batch, bundle, b_top=resolve_b_top(config, ds, bundle.cluster_map), training=False)
     for idx, cs in zip(batch.doc_indices, dynamic):
-        assert np.array_equal(cache.sets[idx].labels, cs.labels)
-        assert np.array_equal(cache.sets[idx].is_positive, cs.is_positive)
+        assert np.array_equal(cache[idx].labels, cs.labels)
+        assert np.array_equal(cache[idx].is_positive, cs.is_positive)
 
 
 def _count_sample_calls(monkeypatch) -> list:
