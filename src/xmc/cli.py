@@ -25,7 +25,7 @@ from .cluster import ClusterMap, build_cluster_map, build_label_reps
 from .corpus import Document, Vocab, XmcDataset, batch_iter, build_vocab, load_dataset, read_text, tokenize
 from .encoder import encoder_grad_check
 from .errors import ConfigError, ParseError, UsageError, XmcError
-from .predict import evaluate, predict_batch
+from .predict import BATCH_SIZE, evaluate, predict_batch
 from .synth import make_synthetic_corpus
 from .trainer import (
     PRESETS,
@@ -37,7 +37,6 @@ from .trainer import (
 )
 
 GRAD_TOLERANCE = 1e-4
-DEFAULT_SEED = 7
 
 USAGE_ERRORS = (UsageError, ConfigError, ParseError)
 
@@ -233,7 +232,7 @@ def _load_run(ckpt_path: Path, b_top: int | None):
 def cmd_cluster(args) -> int:
     sparse = _require_file(args.sparse, "--sparse training file")
     out = Path(args.out)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
+    seed = args.seed if args.seed is not None else TrainConfig.seed
     dataset = load_dataset(sparse, split="train")
     reps = build_label_reps(dataset)
     cmap = build_cluster_map(reps, args.max_size, seed)
@@ -298,7 +297,7 @@ def cmd_predict(args) -> int:
     out_path = Path(args.out) if args.out else None
     sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
     try:
-        for batch in batch_iter(dataset, 64, seed=0, shuffle=False):
+        for batch in batch_iter(dataset, BATCH_SIZE, seed=0, shuffle=False):
             for pred in predict_batch(batch.token_ids, batch.mask, bundle, b_top, args.k, use_swa):
                 sink.write(pred.as_line() + "\n")
     finally:
@@ -308,7 +307,7 @@ def cmd_predict(args) -> int:
         _write_manifest(
             out_path.with_suffix(out_path.suffix + ".manifest.json"),
             "predict",
-            config,
+            replace(config, b_top=b_top),
             {"ckpt": ckpt, "text": text},
             {"predictions": out_path},
             config.seed,
@@ -323,6 +322,13 @@ def cmd_eval(args) -> int:
     loaded = [_load_run(_require_file(c, "checkpoint"), args.b_top) for c in ckpts]
     bundles = [b for b, _, _, _ in loaded]
     _, config, vocab, b_top = loaded[0]
+    # every member reads the token ids encoded once with the first member's vocab and max_len
+    for ckpt, (_, member, member_vocab, _) in zip(ckpts[1:], loaded[1:]):
+        if member_vocab.token_to_id != vocab.token_to_id:
+            raise UsageError(f"ensemble member {ckpt}: its vocab differs from that of {ckpts[0]}")
+        if member.max_len != config.max_len:
+            raise UsageError(f"ensemble member {ckpt}: max_len {member.max_len} differs from "
+                             f"{config.max_len} of {ckpts[0]}")
 
     sparse = _require_file(args.sparse, "--sparse test file")
     text = _require_file(args.text, "--text test file")
@@ -354,20 +360,19 @@ def cmd_ablate(args) -> int:
         "S": replace(config, sampling_mode="static"),
         "single_layer": replace(config, sampling_mode="dynamic", concat_layers=1),
     }
-    results: dict[str, dict] = {}
+    # the variants differ in neither cluster_size nor seed, so they share one cluster map
+    cmap = build_cluster_map(build_label_reps(train_ds), config.cluster_size, config.seed)
+    precision: dict[str, dict[int, float]] = {}
     curves: dict[str, list[dict]] = {}
     for name, variant in variants.items():
-        run_dir = out_dir / name
-        bundle, metrics = train(train_ds, variant, dev=None, out_dir=run_dir)
-        report = evaluate(test_ds, [bundle], b_top=bundle.config.b_top)
-        results[name] = {f"p{k}": v for k, v in report.precision.items()}
-        results[name]["cluster_recall"] = report.cluster_recall
-        curves[name] = metrics
+        bundle, curves[name] = train(train_ds, variant, cluster_map=cmap, out_dir=out_dir / name)
+        if name != "single_layer":  # the depth variant reports only its loss curve
+            precision[name] = evaluate(test_ds, [bundle], b_top=bundle.config.b_top).precision
 
     table_lines = [f"{'variant':<10}{'P@1':>8}{'P@3':>8}{'P@5':>8}"]
     for name in ("D", "S"):
-        r = results[name]
-        table_lines.append(f"{name:<10}{r['p1']:>8.4f}{r['p3']:>8.4f}{r['p5']:>8.4f}")
+        p = precision[name]
+        table_lines.append(f"{name:<10}{p[1]:>8.4f}{p[3]:>8.4f}{p[5]:>8.4f}")
     table = "\n".join(table_lines)
     print(table)
     (out_dir / "ablation_table.txt").write_text(table + "\n", encoding="utf-8")
@@ -387,8 +392,8 @@ def cmd_ablate(args) -> int:
     half = max(1, config.epochs // 2)
     multi_half = curves["D"][half - 1]["loss_g"] + curves["D"][half - 1]["loss_d"]
     single_half = curves["single_layer"][half - 1]["loss_g"] + curves["single_layer"][half - 1]["loss_d"]
-    dynamic_vs_static = results["D"]["p1"] - results["S"]["p1"]
-    print(f"dynamic_p1={results['D']['p1']:.4f} static_p1={results['S']['p1']:.4f} "
+    dynamic_vs_static = precision["D"][1] - precision["S"][1]
+    print(f"dynamic_p1={precision['D'][1]:.4f} static_p1={precision['S'][1]:.4f} "
           f"margin={dynamic_vs_static:+.4f}")
     print(f"half_epoch={half} multi_layer_loss={multi_half:.4f} single_layer_loss={single_half:.4f} "
           f"multi_layer_lower={'yes' if multi_half < single_half else 'no'}")
@@ -427,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--verify", action="store_true", help="64-bit deterministic mode")
     common = argparse.ArgumentParser(add_help=False, parents=[verify])
     common.add_argument("--seed", type=int, default=None,
-                        help=f"global random seed (default {DEFAULT_SEED})")
+                        help=f"global random seed (default {TrainConfig.seed})")
 
     train_flags = argparse.ArgumentParser(add_help=False)
     train_flags.add_argument("--config", help="key=value overrides file, or a previous manifest.json")

@@ -181,14 +181,13 @@ def _bisect(reps: sp.csr_array, rows: np.ndarray, left_size: int, rng: np.random
 # size-bound arithmetic
 
 
-def bound_feasible(n: int, s: int, lower: int | None = None) -> bool:
+def bound_feasible(n: int, s: int) -> bool:
     """Can ``n`` labels be partitioned into parts of size in (s/2, s]?
 
     Equivalent to: exists k >= 1 with k*lower <= n <= k*s, where
     ``lower = s//2 + 1`` is the smallest size above s/2.
     """
-    if lower is None:
-        lower = s // 2 + 1
+    lower = s // 2 + 1
     if n < lower:
         return False
     k_min = -(-n // s)
@@ -198,11 +197,10 @@ def bound_feasible(n: int, s: int, lower: int | None = None) -> bool:
 def _choose_left_size(p: int, s: int) -> int:
     """Split size for the left child: nearest to half with both sides feasible."""
     half = (p + 1) // 2
-    strict = s // 2 + 1
-    if bound_feasible(p, s, strict):
+    if bound_feasible(p, s):
         for delta in range(p):
             for a in (half + delta, half - delta):
-                if 1 <= a < p and bound_feasible(a, s, strict) and bound_feasible(p - a, s, strict):
+                if 1 <= a < p and bound_feasible(a, s) and bound_feasible(p - a, s):
                     return a
     # (p, s) cannot meet the strict lower bound anywhere in this subtree:
     # fall back to plain halving under the relaxed bound ceil(s/2).

@@ -96,7 +96,11 @@ class Vocab:
             min_freq = int(lines[0])
         except ValueError as exc:
             raise ParseError(f"{path}:1: header must be the integer min_freq, got {lines[0]!r}") from exc
-        mapping = {tok: NUM_RESERVED + i for i, tok in enumerate(lines[1:])}
+        mapping: dict[str, int] = {}
+        for lineno, tok in enumerate(lines[1:], 2):
+            if tok in mapping:
+                raise ParseError(f"{path}:{lineno}: token {tok!r} repeats line {mapping[tok] - NUM_RESERVED + 2}")
+            mapping[tok] = NUM_RESERVED + lineno - 2
         return cls(mapping, min_freq)
 
 
@@ -234,10 +238,12 @@ def load_dataset(
     texts: list[str] | None = None
     if text_path is not None:
         texts = read_text(text_path).splitlines()
-        if len(texts) != n:
-            raise ParseError(
-                f"{text_path}: {len(texts)} lines but sparse file {sparse_path} has {n} rows"
-            )
+        # row i of the sparse file is its line i + 2, after the header
+        if len(texts) < n:
+            raise ParseError(f"{sparse_path}:{len(texts) + 2}: row {len(texts) + 1} has no line in {text_path}, "
+                             f"which has {len(texts)} lines")
+        if len(texts) > n:
+            raise ParseError(f"{text_path}:{n + 1}: line has no row in {sparse_path}, which has {n} rows")
         if vocab is None:
             raise ConfigError("a vocab is required when loading raw text")
     docs = []

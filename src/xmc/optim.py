@@ -168,7 +168,6 @@ def clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
 class SwaState:
     """Running arithmetic mean of parameter snapshots."""
 
-    start_epoch: int
     count: int = 0
     average: dict[str, np.ndarray] = field(default_factory=dict)
 

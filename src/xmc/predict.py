@@ -30,6 +30,8 @@ from .recall import top_clusters  # noqa: F401
 if TYPE_CHECKING:  # pragma: no cover
     from .trainer import ModelBundle
 
+BATCH_SIZE = 64  # documents per inference batch of evaluate and xmc predict
+
 
 @dataclass
 class Prediction:
@@ -152,7 +154,6 @@ def evaluate(
     b_top: int,
     ks: tuple[int, ...] = (1, 3, 5),
     use_swa: bool | None = None,
-    batch_size: int = 64,
 ) -> EvalReport:
     """P@k over a dataset plus micro-averaged cluster recall.
 
@@ -166,7 +167,7 @@ def evaluate(
     total_pos = 0
     used_swa = any(b.swa_available() for b in bundles) if use_swa is None else use_swa
     views = [b.inference_params(use_swa) for b in bundles]
-    for batch in batch_iter(dataset, batch_size, seed=0, shuffle=False):
+    for batch in batch_iter(dataset, BATCH_SIZE, seed=0, shuffle=False):
         if len(views) == 1:
             preds = predict_batch(batch.token_ids, batch.mask, views[0], b_top, max(ks), use_swa=False)
         else:

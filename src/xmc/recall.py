@@ -23,10 +23,6 @@ class GeneratorParams:
     weight: Tensor  # (K, rep_width)
     bias: Tensor  # (K,)
 
-    @property
-    def num_clusters(self) -> int:
-        return self.weight.shape[0]
-
 
 def init_generator(num_clusters: int, rep_width: int, rng: np.random.Generator) -> GeneratorParams:
     return GeneratorParams(

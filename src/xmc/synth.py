@@ -14,14 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (
-    Document,
-    SparseVec,
-    TfidfVectorizer,
-    XmcDataset,
-    build_vocab,
-    tokenize,
-)
+from .corpus import SparseVec, TfidfVectorizer, save_sparse
 
 FILLER_POOL = 50
 
@@ -49,8 +42,6 @@ class SynthCorpus:
             "test_sparse": out / "test.txt",
             "test_text": out / "test_raw.txt",
         }
-        from .corpus import save_sparse
-
         save_sparse(
             paths["train_sparse"],
             list(zip(self.train_labels, self.train_sparse)),
@@ -115,26 +106,3 @@ def make_synthetic_corpus(
         test_sparse=vectorizer.transform(test_texts),
         feature_dim=vectorizer.dim,
     )
-
-
-def corpus_datasets(sc: SynthCorpus, max_len: int = 16, min_freq: int = 1):
-    """Build (train, test, vocab) datasets directly from an in-memory corpus."""
-    # vocabulary from train text only, as the CLI path would do
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False, encoding="utf-8") as fh:
-        fh.write("\n".join(sc.train_texts) + "\n")
-        tmp = fh.name
-    vocab = build_vocab(tmp, min_freq=min_freq)
-    Path(tmp).unlink()
-
-    def build(texts, labels, sparse, split):
-        docs = [
-            Document(i, tokenize(texts[i], vocab, max_len), labels[i], sparse[i])
-            for i in range(len(texts))
-        ]
-        return XmcDataset(docs, num_labels=sc.num_labels, feature_dim=sc.feature_dim, split=split, vocab=vocab)
-
-    train = build(sc.train_texts, sc.train_labels, sc.train_sparse, "train")
-    test = build(sc.test_texts, sc.test_labels, sc.test_sparse, "test")
-    return train, test, vocab

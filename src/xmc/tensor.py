@@ -119,13 +119,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def param(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
-    """Create a trainable tensor. With ``rng`` and ``scale``, draw normal(0, scale)."""
-    if rng is not None:
-        data = rng.normal(0.0, scale if scale is not None else 0.02, size=data)
-    return Tensor(data, requires_grad=True)
-
-
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal
 
@@ -106,18 +106,27 @@ def default_b_top(avg_positives: float, num_clusters: int) -> int:
 
 @dataclass
 class ModelBundle:
-    """Everything trainable plus the state needed to keep training deterministic."""
+    """Everything trainable plus the state needed to keep training deterministic.
+
+    ``params`` is the one store of the weights; the head records are views of it.
+    """
 
     config: TrainConfig
     enc_config: EncoderConfig
     params: dict[str, Tensor]
     cluster_map: ClusterMap
-    generator: GeneratorParams
-    discriminator: DiscriminatorParams
     opt: OptimizerState
     swa: SwaState
-    epoch: int = 0
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+    rng: np.random.Generator
+
+    @property
+    def generator(self) -> GeneratorParams:
+        return GeneratorParams(self.params["generator.W_g"], self.params["generator.b_g"])
+
+    @property
+    def discriminator(self) -> DiscriminatorParams:
+        p = self.params
+        return DiscriminatorParams(p["discriminator.E"], p["discriminator.W_h"], p["discriminator.b_h"])
 
     @property
     def num_labels(self) -> int:
@@ -134,16 +143,7 @@ class ModelBundle:
             return self
         if not self.swa_available():
             raise ContractError("SWA weights requested but none accumulated")
-        params = {name: Tensor(self.swa.average[name]) for name in self.params}
-        return _bundle_views(self.config, self.enc_config, params, self.cluster_map, self.opt, self.swa, self.epoch, self.rng)
-
-
-def _bundle_views(config, enc_config, params, cmap, opt, swa, epoch, rng) -> ModelBundle:
-    generator = GeneratorParams(params["generator.W_g"], params["generator.b_g"])
-    discriminator = DiscriminatorParams(
-        params["discriminator.E"], params["discriminator.W_h"], params["discriminator.b_h"]
-    )
-    return ModelBundle(config, enc_config, params, cmap, generator, discriminator, opt, swa, epoch, rng)
+        return replace(self, params={name: Tensor(self.swa.average[name]) for name in self.params})
 
 
 def init_bundle(config: TrainConfig, vocab_size: int, cluster_map: ClusterMap) -> ModelBundle:
@@ -175,12 +175,12 @@ def init_bundle(config: TrainConfig, vocab_size: int, cluster_map: ClusterMap) -
         weight_decay=config.weight_decay,
         decay_exempt={n for n in params if is_decay_exempt(n)},
     )
-    swa = SwaState(start_epoch=config.resolved_swa_start())
-    return _bundle_views(config, enc_config, params, cluster_map, opt, swa, 0, rng)
+    return ModelBundle(config, enc_config, params, cluster_map, opt, SwaState(), rng)
 
 
-def build_static_cache(dataset: XmcDataset, bundle: ModelBundle, config: TrainConfig) -> list[CandidateSet]:
+def build_static_cache(dataset: XmcDataset, bundle: ModelBundle) -> list[CandidateSet]:
     """Candidate sets by dataset position, sampled once with the snapshot generator."""
+    config = bundle.config
     sets: list[CandidateSet] = [None] * len(dataset)  # type: ignore[list-item]
     for batch in batch_iter(dataset, max(config.batch_size, 32), seed=0, shuffle=False):
         rep = encode(batch.token_ids, batch.mask, bundle.enc_config, bundle.params, training=False, rng=bundle.rng)
@@ -188,8 +188,6 @@ def build_static_cache(dataset: XmcDataset, bundle: ModelBundle, config: TrainCo
         sampled = sample_candidates(scores, bundle.cluster_map, config.b_top, positives=batch.labels)
         for idx, cs in zip(batch.doc_indices, sampled):
             sets[idx] = cs
-    if any(s is None for s in sets):
-        raise ConfigError("static cache does not cover every training instance")
     return sets
 
 
@@ -296,7 +294,7 @@ def train(
 
     cache = None
     if config.sampling_mode == "static":
-        cache = build_static_cache(dataset, bundle, config)
+        cache = build_static_cache(dataset, bundle)
         log(f"[train] static candidate cache built from the initialized snapshot "
             f"({len(cache)} instances)")
     elif config.sampling_mode != "dynamic":
@@ -317,7 +315,6 @@ def train(
             sum_g += lg
             sum_d += ld
             steps += 1
-        bundle.epoch = epoch
         if epoch >= swa_start:
             swa_update(bundle.swa, bundle.params)
         record = {

@@ -18,7 +18,7 @@ from xmc.cluster import ClusterMap, bound_feasible, build_cluster_map
 from xmc.predict import evaluate, precision_at_k, predict_batch
 from xmc.recall import sample_candidates, top_clusters
 from xmc.rank import init_discriminator
-from xmc.synth import corpus_datasets, make_synthetic_corpus
+from xmc.synth import make_synthetic_corpus
 from xmc.trainer import (
     TrainConfig,
     apply_preset,
@@ -27,6 +27,8 @@ from xmc.trainer import (
     resolve_b_top,
     train,
 )
+
+from helpers import corpus_datasets
 
 
 @contextmanager

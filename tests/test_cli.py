@@ -153,6 +153,8 @@ def test_train_static_mode_recorded(tmp_path, corpus_files):
         pytest.param("--clusters", "map.txt", "3 -8 4 0\n0\n1\n2\n", 1, id="clusters-negative-label-count"),
         pytest.param("--clusters", "map.txt", "3 8 4 0\n0 1 2 3\n4 5 6 7\n", 1, id="clusters-cluster-count"),
         pytest.param("--ckpt", "vocab.txt", b"1\ntopic0\n\xfftopic1\n", 3, id="vocab-not-utf8"),
+        pytest.param("--ckpt", "vocab.txt", "1\ntopic0\ntopic1\ntopic0\n", 4, id="vocab-repeats-token"),
+        pytest.param("--text", "raw.txt", "topic0 word\n" * 49, 49, id="text-longer-than-sparse"),
         pytest.param("predict --text", "raw.txt", b"topic0 word\nword \xc3\n", 2, id="predict-text-not-utf8"),
     ],
 )
@@ -236,6 +238,35 @@ def test_eval_ensemble_of_same_run(capsys, trained_run, corpus_files):
                  "--text", str(corpus_files["test_text"]), "--k", "1,3"])
     assert code == 0
     assert "p1=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("differs", ["vocab", "max_len"])
+def test_eval_ensemble_members_share_vocab_and_max_len(tmp_path, trained_run, corpus_files, capsys, differs):
+    member = tmp_path / "member"
+    if differs == "vocab":
+        shutil.copytree(trained_run, member)
+        lines = (member / "vocab.txt").read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]  # the same tokens, two ids swapped
+        (member / "vocab.txt").write_text("\n".join(lines) + "\n")
+        manifest = json.loads((member / "manifest.json").read_text())
+        manifest["artifacts"]["vocab"] = str(member / "vocab.txt")
+        (member / "manifest.json").write_text(json.dumps(manifest))
+    else:
+        assert main(["train", "--sparse", str(corpus_files["train_sparse"]), "--text", str(corpus_files["train_text"]),
+                     "--out-dir", str(member), *TINY_FLAGS, "--epochs", "0", "--max-len", "8"]) == 0
+    code = main(["eval", "--ensemble", f"{trained_run / 'final.ckpt'},{member / 'final.ckpt'}",
+                 "--sparse", str(corpus_files["test_sparse"]), "--text", str(corpus_files["test_text"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"ensemble member {member / 'final.ckpt'}: " in err and differs in err
+
+
+def test_predict_manifest_records_the_b_top_it_used(tmp_path, trained_run, corpus_files):
+    out = tmp_path / "preds.txt"
+    assert main(["predict", "--ckpt", str(trained_run / "final.ckpt"), "--text", str(corpus_files["test_text"]),
+                 "--out", str(out), "--b-top", "3"]) == 0
+    manifest = json.loads((tmp_path / "preds.txt.manifest.json").read_text())
+    assert manifest["config"]["b_top"] == 3  # the run trained with 2
 
 
 @pytest.mark.parametrize("k", ["abc", "", "1,,3"])

@@ -17,7 +17,9 @@ from xmc.cluster import (
 )
 from xmc.corpus import Document, SparseVec, XmcDataset
 from xmc.errors import ContractError
-from xmc.synth import corpus_datasets, make_synthetic_corpus
+from xmc.synth import make_synthetic_corpus
+
+from helpers import corpus_datasets
 
 
 def _vec(pairs):

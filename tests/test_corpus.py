@@ -237,7 +237,11 @@ def test_load_dataset_line_count_mismatch(tmp_path, tiny_sparse):
     raw = tmp_path / "raw.txt"
     raw.write_text("only one line\n")
     vocab = corpus.Vocab({"only": 3})
-    with pytest.raises(ParseError):
+    # short text: the first sparse row without a text line, on line 3 below the header
+    with pytest.raises(ParseError, match=f"^{re.escape(str(tiny_sparse))}:3: "):
+        load_dataset(tiny_sparse, raw, vocab, max_len=8)
+    raw.write_text("one\ntwo\nthree\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(raw))}:3: "):  # long text: its first extra line
         load_dataset(tiny_sparse, raw, vocab, max_len=8)
 
 

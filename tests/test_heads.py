@@ -28,6 +28,8 @@ from xmc.rank import (
     rank_scores,
 )
 
+from helpers import param
+
 
 def _map_of_pairs(num_clusters=4):
     members = [np.array([2 * c, 2 * c + 1]) for c in range(num_clusters)]
@@ -317,7 +319,7 @@ def test_rank_loss_padding_adds_no_loss_or_gradient():
     assert ids.tolist() == [[3, 5, 0], [1, 4, 6]]
     assert keep.tolist() == [[True, True, False], [True, True, True]]
     assert flags.tolist() == [[True, False, False], [False, True, False]]
-    probs = t.param(np.array([[0.8, 0.3, 0.9], [0.2, 0.7, 0.4]]))
+    probs = param(np.array([[0.8, 0.3, 0.9], [0.2, 0.7, 0.4]]))
     with t.record() as tape:
         loss = rank_loss(probs, flags | ~keep, keep)
         tape.backward(loss)

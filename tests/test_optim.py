@@ -103,7 +103,7 @@ def test_decay_exempt_name_rule():
 def test_swa_first_snapshot_equals_params():
     with T.verify_mode():
         p = _param([4.0])
-        state = SwaState(start_epoch=1)
+        state = SwaState()
         swa_update(state, {"w": p})
         assert state.average["w"][0] == pytest.approx(4.0)
         assert state.count == 1
@@ -111,7 +111,7 @@ def test_swa_first_snapshot_equals_params():
 
 def test_swa_two_point_mean():
     with T.verify_mode():
-        state = SwaState(start_epoch=1)
+        state = SwaState()
         p = _param([0.0])
         swa_update(state, {"w": p})
         p.data[0] = 2.0
@@ -121,7 +121,7 @@ def test_swa_two_point_mean():
 
 def test_swa_three_point_mean_and_count():
     with T.verify_mode():
-        state = SwaState(start_epoch=1)
+        state = SwaState()
         p = _param([1.0])
         for value in (1.0, 2.0, 3.0):
             p.data[0] = value
@@ -134,7 +134,7 @@ def test_swa_matches_brute_force_mean():
     with T.verify_mode():
         rng = np.random.default_rng(5)
         snaps = [rng.normal(size=(3, 2)) for _ in range(7)]
-        state = SwaState(start_epoch=1)
+        state = SwaState()
         p = T.Tensor(np.zeros((3, 2)), requires_grad=True)
         for s in snaps:
             p.data[:] = s

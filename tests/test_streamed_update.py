@@ -19,6 +19,8 @@ from xmc import tensor as t
 from xmc.optim import BLOCK, OptimizerState, SwaState, adamw_step, clip_grads, swa_update
 from xmc.trainer import build_micro_problem, train
 
+from helpers import param
+
 # ---------------------------------------------------------------------------
 # whole-array references
 
@@ -104,7 +106,7 @@ EXEMPT = {"hinted_exempt", "dense_exempt"}
 
 def _make_params(shape, rng):
     names = [*KINDS, "hinted_exempt", "dense_exempt"]
-    return {name: t.param(shape, rng, scale=0.5) for name in names}
+    return {name: param(shape, rng, scale=0.5) for name in names}
 
 
 def _draw_step(shape, rng):
@@ -171,7 +173,7 @@ def test_update_matches_whole_array_reference(shape, max_norm, verify):
         ref = _make_params(shape, np.random.default_rng(0))
         new_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1, decay_exempt=set(EXEMPT))
         ref_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1, decay_exempt=set(EXEMPT))
-        new_swa, ref_swa = SwaState(start_epoch=1), SwaState(start_epoch=1)
+        new_swa, ref_swa = SwaState(), SwaState()
         fired = []
         for step in range(4):
             draw = _draw_step(shape, rng)
@@ -218,8 +220,8 @@ def test_assigning_grad_drops_hint_and_whole_array_is_used():
     with t.verify_mode():
         rng = np.random.default_rng(4)
         shape = (BLOCK // 32 + 3, 32)
-        new = {"w": t.param(shape, np.random.default_rng(1))}
-        ref = {"w": t.param(shape, np.random.default_rng(1))}
+        new = {"w": param(shape, np.random.default_rng(1))}
+        ref = {"w": param(shape, np.random.default_rng(1))}
         _embedded(new["w"], np.array([0, 2, 2]), rng.normal(size=(3, 32)))
         assert np.array_equal(new["w"].grad_rows, [0, 2])
         # a value outside the hinted rows, written by assignment
@@ -238,7 +240,7 @@ def test_assigning_grad_drops_hint_and_whole_array_is_used():
 
 
 def test_dense_accum_after_embedding_drops_hint():
-    w = t.param((6, 3), np.random.default_rng(2))
+    w = param((6, 3), np.random.default_rng(2))
     _embedded(w, np.array([1, 4]), np.ones((2, 3)))
     assert np.array_equal(w.grad_rows, [1, 4])
     w._accum(np.ones((6, 3)))
@@ -249,7 +251,7 @@ def test_dense_accum_after_embedding_drops_hint():
 def test_two_embedding_calls_sum_like_add_at():
     with t.verify_mode():
         rng = np.random.default_rng(6)
-        w = t.param((50, 4), rng)
+        w = param((50, 4), rng)
         ids_a, ids_b = rng.integers(0, 20, size=(3, 7)), rng.integers(10, 40, size=11)
         g_a, g_b = rng.normal(size=(3, 7, 4)) * 1e3, rng.normal(size=(11, 4)) * 1e-3
         with t.record() as tape:

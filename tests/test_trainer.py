@@ -9,7 +9,7 @@ from xmc.cluster import ClusterMap
 from xmc.corpus import Document, XmcDataset, Vocab, batch_iter
 from xmc.errors import ConfigError, TrainingStateError
 from xmc.optim import swa_update
-from xmc.synth import corpus_datasets, make_synthetic_corpus
+from xmc.synth import make_synthetic_corpus
 from xmc.trainer import (
     PRESETS,
     ModelBundle,
@@ -24,6 +24,8 @@ from xmc.trainer import (
     train,
     train_step,
 )
+
+from helpers import corpus_datasets
 
 
 def micro_train_config(**overrides) -> TrainConfig:
@@ -192,7 +194,7 @@ def test_nan_loss_aborts_with_diagnostic():
 
 def test_static_cache_covers_all_instances():
     config, ds, bundle = micro_setup(sampling_mode="static")
-    cache = build_static_cache(ds, bundle, config)
+    cache = build_static_cache(ds, bundle)
     assert len(cache) == len(ds)
     for labels, cs in zip([d.labels for d in ds.documents], cache):
         assert set(labels) <= set(cs.labels.tolist())
@@ -201,7 +203,7 @@ def test_static_cache_covers_all_instances():
 def test_static_cache_first_step_equivalence():
     # With identical parameters, dynamic sampling and the cache agree.
     config, ds, bundle = micro_setup()
-    cache = build_static_cache(ds, bundle, config)
+    cache = build_static_cache(ds, bundle)
     batch = first_batch(ds, config)
     _, _, _, dynamic = joint_losses(batch, bundle, b_top=resolve_b_top(config, ds, bundle.cluster_map), training=False)
     for idx, cs in zip(batch.doc_indices, dynamic):
@@ -223,7 +225,7 @@ def _count_sample_calls(monkeypatch) -> list:
 
 def test_static_mode_never_resamples(monkeypatch):
     config, ds, bundle = micro_setup(sampling_mode="static")
-    cache = build_static_cache(ds, bundle, config)
+    cache = build_static_cache(ds, bundle)
     calls = _count_sample_calls(monkeypatch)
     for epoch in range(2):
         for batch in batch_iter(ds, config.batch_size, seed=config.seed, epoch=epoch):
