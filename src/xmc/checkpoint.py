@@ -8,6 +8,7 @@ raw parameter name suffixed ``.swa``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from pathlib import Path
@@ -20,31 +21,36 @@ MAGIC = b"LXML"
 FORMAT_VERSION = 1
 
 
-def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Write records sorted by name (keeps identical states byte-identical).
-
-    The file is written under a temporary name in the target directory and
-    then renamed over ``path``, so a reader sees the old file or the whole new
-    one, never a partial write.
-    """
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open ``path`` for writing under a temporary name that replaces it when
+    the block ends, so a reader sees the old file or the whole new one.  If
+    the block raises, the temporary file goes and ``path`` stays as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            for name in sorted(tensors):
-                arr = np.asarray(tensors[name], dtype="<f4", order="C")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.reshape(-1).data)
+        with open(tmp, mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
+    """Write records sorted by name (keeps identical states byte-identical), atomically."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", FORMAT_VERSION))
+        for name in sorted(tensors):
+            arr = np.asarray(tensors[name], dtype="<f4", order="C")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.reshape(-1).data)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

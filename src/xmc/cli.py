@@ -21,11 +21,12 @@ from pathlib import Path
 
 from . import __version__
 from . import tensor as t
+from .checkpoint import atomic_write
 from .cluster import ClusterMap, build_cluster_map, build_label_reps
 from .corpus import Document, Vocab, XmcDataset, batch_iter, build_vocab, load_dataset, read_text, tokenize
 from .encoder import encoder_grad_check
 from .errors import ConfigError, ParseError, UsageError, XmcError
-from .predict import BATCH_SIZE, evaluate, predict_batch
+from .predict import BATCH_SIZE, check_prediction_args, evaluate, predict_batch
 from .synth import make_synthetic_corpus
 from .trainer import (
     PRESETS,
@@ -165,7 +166,8 @@ def _write_manifest(path: Path, command: str, config: TrainConfig | None, inputs
         "inputs": {k: str(v) for k, v in inputs.items()},
         "artifacts": {k: str(v) for k, v in artifacts.items()},
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _require_file(path_str: str | None, what: str) -> Path:
@@ -294,15 +296,13 @@ def cmd_predict(args) -> int:
     docs = [Document(i, tokenize(line, vocab, config.max_len), (), None) for i, line in enumerate(lines)]
     dataset = XmcDataset(docs, bundle.num_labels, feature_dim=0, split="test", vocab=vocab)
 
+    # checked before --out is touched, so a bad value leaves an old file as it was
+    check_prediction_args(args.k, b_top, bundle.cluster_map)
     out_path = Path(args.out) if args.out else None
-    sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
-    try:
+    with atomic_write(out_path) if out_path else contextlib.nullcontext(sys.stdout) as sink:
         for batch in batch_iter(dataset, BATCH_SIZE, seed=0, shuffle=False):
             for pred in predict_batch(batch.token_ids, batch.mask, bundle, b_top, args.k, use_swa):
                 sink.write(pred.as_line() + "\n")
-    finally:
-        if out_path:
-            sink.close()
     if out_path:
         _write_manifest(
             out_path.with_suffix(out_path.suffix + ".manifest.json"),
@@ -375,11 +375,12 @@ def cmd_ablate(args) -> int:
         table_lines.append(f"{name:<10}{p[1]:>8.4f}{p[3]:>8.4f}{p[5]:>8.4f}")
     table = "\n".join(table_lines)
     print(table)
-    (out_dir / "ablation_table.txt").write_text(table + "\n", encoding="utf-8")
+    with atomic_write(out_dir / "ablation_table.txt") as fh:
+        fh.write(table + "\n")
 
     # loss curves for the representation-depth comparison: epochs x 2 rows
     csv_path = out_dir / "layer_loss.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "variant", "loss_g", "loss_d", "loss_total"])
         for name, tag in (("D", "multi_layer"), ("single_layer", "single_layer")):

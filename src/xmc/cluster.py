@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .checkpoint import atomic_write
 from .corpus import XmcDataset, read_text
 from .errors import ConfigError, ContractError, ParseError
 
@@ -59,7 +60,7 @@ class ClusterMap:
             raise ContractError("some label belongs to no cluster")
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(f"{self.num_clusters} {self.num_labels} {self.s} {self.seed}\n")
             for labels in self.members:
                 fh.write(" ".join(str(l) for l in labels) + "\n")

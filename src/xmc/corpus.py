@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ConfigError, ParseError
 
 PAD_ID = 0
@@ -82,7 +83,7 @@ class Vocab:
 
     def save(self, path: str | Path) -> None:
         ordered = sorted(self.token_to_id, key=self.token_to_id.get)
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(f"{self.min_freq}\n")
             for token in ordered:
                 fh.write(token + "\n")

@@ -81,13 +81,6 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict
     return params
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    batch, seq, din = x.shape
-    flat = t.reshape(x, (batch * seq, din))
-    out = t.add(t.matmul(flat, w), b)
-    return t.reshape(out, (batch, seq, w.shape[1]))
-
-
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     batch, seq, hidden = x.shape
     per_head = hidden // n_heads
@@ -131,21 +124,20 @@ def encode(
     for i in range(config.n_layers):
         prefix = f"encoder.layer{i}"
         pre = t.layer_norm(x, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
-        q = _split_heads(_linear(pre, params[f"{prefix}.attn.q.w"], params[f"{prefix}.attn.q.b"]), config.n_heads)
-        k = _split_heads(_linear(pre, params[f"{prefix}.attn.k.w"], params[f"{prefix}.attn.k.b"]), config.n_heads)
-        v = _split_heads(_linear(pre, params[f"{prefix}.attn.v.w"], params[f"{prefix}.attn.v.b"]), config.n_heads)
+        q = _split_heads(t.linear(pre, params[f"{prefix}.attn.q.w"], params[f"{prefix}.attn.q.b"]), config.n_heads)
+        k = _split_heads(t.linear(pre, params[f"{prefix}.attn.k.w"], params[f"{prefix}.attn.k.b"]), config.n_heads)
+        v = _split_heads(t.linear(pre, params[f"{prefix}.attn.v.w"], params[f"{prefix}.attn.v.b"]), config.n_heads)
         scores = t.scale(t.matmul(q, t.transpose(k, (0, 1, 3, 2))), inv_sqrt)
-        scores = t.masked_fill(scores, key_keep, t.MASK_FILL)
-        weights = t.dropout(t.softmax(scores, axis=-1), config.block_dropout, training, rng)
+        weights = t.dropout(t.softmax(scores, axis=-1, keep=key_keep), config.block_dropout, training, rng)
         ctx = _merge_heads(t.matmul(weights, v))
-        ctx = _linear(ctx, params[f"{prefix}.attn.o.w"], params[f"{prefix}.attn.o.b"])
+        ctx = t.linear(ctx, params[f"{prefix}.attn.o.w"], params[f"{prefix}.attn.o.b"])
         ctx = t.dropout(ctx, config.block_dropout, training, rng)
         x = t.add(x, ctx)
 
         pre2 = t.layer_norm(x, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
-        ff = _linear(pre2, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"])
+        ff = t.linear(pre2, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"])
         ff = t.gelu(ff)
-        ff = _linear(ff, params[f"{prefix}.ff.w2"], params[f"{prefix}.ff.b2"])
+        ff = t.linear(ff, params[f"{prefix}.ff.w2"], params[f"{prefix}.ff.b2"])
         ff = t.dropout(ff, config.block_dropout, training, rng)
         x = t.add(x, ff)
 

@@ -84,6 +84,14 @@ def _top_k(labels: np.ndarray, fused: np.ndarray, k: int, recalled: list[np.ndar
     return Prediction(labels[order], fused[order], short=len(order) < k, recalled=recalled)
 
 
+def check_prediction_args(k: int, b_top: int, cmap: ClusterMap) -> None:
+    """ConfigError unless ``k >= 1`` and ``b_top`` is in [1, K]."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if not 1 <= b_top <= cmap.num_clusters:
+        raise ConfigError(f"b_top={b_top} outside [1, {cmap.num_clusters}]")
+
+
 def predict_batch(
     token_ids: np.ndarray,
     mask: np.ndarray,
@@ -93,11 +101,8 @@ def predict_batch(
     use_swa: bool | None = None,
 ) -> list[Prediction]:
     """Top-K fused predictions for a padded batch (dropout off)."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    check_prediction_args(k, b_top, bundle.cluster_map)
     view = bundle.inference_params(use_swa)
-    if not 1 <= b_top <= view.cluster_map.num_clusters:
-        raise ConfigError(f"b_top={b_top} outside [1, {view.cluster_map.num_clusters}]")
     return [_top_k(cs.labels, fused, k, [cs.clusters]) for cs, fused in _score_batch(view, token_ids, mask, b_top)]
 
 

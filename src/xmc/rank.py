@@ -77,7 +77,7 @@ def rank_scores(rep: Tensor, gathered: Tensor, params: DiscriminatorParams) -> T
     """Candidate probabilities (B, n_max) from reps (B, w) and gathered rows (B, n_max, e)."""
     if rep.ndim != 2 or rep.shape[1] != params.bottleneck_w.shape[1]:
         raise DimensionError(f"rank_scores: rep shape {rep.shape} vs bottleneck {params.bottleneck_w.shape}")
-    h = t.sigmoid(t.add(t.matmul(rep, t.transpose(params.bottleneck_w, (1, 0))), params.bottleneck_b))
+    h = t.sigmoid(t.linear(rep, t.transpose(params.bottleneck_w, (1, 0)), params.bottleneck_b))
     batch, n_max = gathered.shape[:2]
     logits = t.matmul(gathered, t.reshape(h, (batch, params.embed_dim, 1)))
     return t.reshape(t.sigmoid(logits), (batch, n_max))

@@ -37,7 +37,7 @@ def recall_scores(rep: Tensor, params: GeneratorParams) -> Tensor:
         raise DimensionError(
             f"recall_scores: rep width {rep.shape[-1]} != generator width {params.weight.shape[1]}"
         )
-    logits = t.add(t.matmul(rep, t.transpose(params.weight, (1, 0))), params.bias)
+    logits = t.linear(rep, t.transpose(params.weight, (1, 0)), params.bias)
     return t.sigmoid(logits)
 
 

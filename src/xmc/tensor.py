@@ -102,8 +102,10 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        self._grad += g
+            # zeros + g in one pass: data's layout and dtype, and -0.0 becomes +0.0
+            self._grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self._grad += g
         self.grad_rows = None
 
     def _accum_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
@@ -199,6 +201,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
             b._accum(np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    _trace(out, bwd)
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` as one node; ``w`` is (in, out)."""
+    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    flat = x.data.reshape(-1, w.shape[0])
+    y = flat @ w.data
+    y += b.data
+    out = Tensor(y.reshape(x.shape[:-1] + w.shape[1:]), x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def bwd(g: np.ndarray) -> None:
+        g = g.reshape(flat.shape[0], -1)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
+        if x.requires_grad:
+            x._accum((g @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accum(flat.T @ g)
 
     _trace(out, bwd)
     return out
@@ -381,26 +405,44 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU x * Phi(x) via erf."""
-    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+    cdf = erf(x.data / math.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
     out = Tensor(x.data * cdf, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
-        x._accum(g * (cdf + x.data * pdf))
+        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
+        d = -0.5 * x.data
+        d *= x.data
+        np.exp(d, out=d)
+        d /= math.sqrt(2.0 * math.pi)
+        d *= x.data
+        d += cdf
+        d *= g
+        x._accum(d)
 
     _trace(out, bwd)
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+def softmax(x: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor:
+    """Softmax along ``axis``; where ``keep`` is False, x counts as MASK_FILL and gets no gradient."""
+    if keep is None:
+        y = x.data - np.max(x.data, axis=axis, keepdims=True)
+    else:
+        y = np.where(keep, x.data, MASK_FILL)
+        y -= np.max(y, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        dot = (g * out.data).sum(axis=axis, keepdims=True)
-        x._accum(out.data * (g - dot))
+        d = g * out.data
+        np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
+        d *= out.data
+        if keep is not None:
+            d *= keep  # a signed zero where masked, which accumulates as +0.0
+        x._accum(d)
 
     _trace(out, bwd)
     return out
@@ -411,8 +453,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    xhat = x.data - mu
+    xhat *= inv
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y, x.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         if gain.requires_grad:
@@ -420,10 +465,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             bias._accum(_unbroadcast(g, bias.shape))
         if x.requires_grad:
+            # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accum((dxhat - m1 - xhat * m2) * inv)
+            tmp = dxhat * xhat
+            m2 = tmp.mean(axis=-1, keepdims=True)
+            dxhat -= m1
+            dxhat -= np.multiply(xhat, m2, out=tmp)
+            dxhat *= inv
+            x._accum(dxhat)
 
     _trace(out, bwd)
     return out
@@ -437,10 +487,14 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
         return x
     keep = rng.random(x.shape) >= rate
     factor = 1.0 / (1.0 - rate)
-    out = Tensor(x.data * keep * factor, x.requires_grad)
+    y = x.data * keep
+    y *= factor
+    out = Tensor(y, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        x._accum(g * keep * factor)
+        d = g * keep
+        d *= factor
+        x._accum(d)
 
     _trace(out, bwd)
     return out

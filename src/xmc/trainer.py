@@ -19,7 +19,7 @@ from typing import Literal
 import numpy as np
 
 from . import tensor as t
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .cluster import ClusterMap, build_cluster_map, build_label_reps, cluster_targets
 from .corpus import Batch, XmcDataset, batch_iter
 from .encoder import EncoderConfig, encode, init_encoder_params
@@ -343,7 +343,7 @@ def train(
         if bundle.swa_available():
             final.update({f"{n}.swa": a for n, a in bundle.swa.average.items()})
         save_checkpoint(out_path / "final.ckpt", final)
-        with open(out_path / "metrics.log", "w", encoding="utf-8") as fh:
+        with atomic_write(out_path / "metrics.log") as fh:
             for record in metrics:
                 fh.write(format_metrics(record) + "\n")
     return bundle, metrics

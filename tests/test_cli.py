@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from xmc import cli
 from xmc.cli import main, resolve_train_config, build_parser
-from xmc.errors import UsageError
+from xmc.errors import ConfigError, UsageError
 from xmc.synth import make_synthetic_corpus
 from xmc.trainer import PRESETS, TrainConfig
 
@@ -267,6 +268,31 @@ def test_predict_manifest_records_the_b_top_it_used(tmp_path, trained_run, corpu
                  "--out", str(out), "--b-top", "3"]) == 0
     manifest = json.loads((tmp_path / "preds.txt.manifest.json").read_text())
     assert manifest["config"]["b_top"] == 3  # the run trained with 2
+
+
+@pytest.mark.parametrize("flags, fail_mid_write", [(["--k", "0"], False), (["--b-top", "999"], False), ([], True)],
+                         ids=["k-0", "b-top-999", "mid-write"])
+def test_failed_predict_leaves_old_out_untouched(tmp_path, trained_run, corpus_files, monkeypatch, flags,
+                                                 fail_mid_write):
+    out = tmp_path / "preds.txt"
+    out.write_bytes(b"old predictions\n")
+    if fail_mid_write:
+        real = cli.predict_batch
+        calls = []
+
+        def fail_on_second_batch(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise ConfigError("injected failure after the first batch was written")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "BATCH_SIZE", 4)
+        monkeypatch.setattr(cli, "predict_batch", fail_on_second_batch)
+    code = main(["predict", "--ckpt", str(trained_run / "final.ckpt"), "--text", str(corpus_files["test_text"]),
+                 "--out", str(out), *flags])
+    assert code == 2
+    assert out.read_bytes() == b"old predictions\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.txt"]
 
 
 @pytest.mark.parametrize("k", ["abc", "", "1,,3"])

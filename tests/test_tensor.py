@@ -223,10 +223,50 @@ def test_grad_check_known_sigmoid_derivative():
 
 def test_softmax_rows_sum_to_one_and_masked_fill():
     x = T.constant(np.array([[1.0, 2.0, 3.0]]))
-    filled = T.masked_fill(x, np.array([[True, True, False]]), T.MASK_FILL)
+    keep = np.array([[True, True, False]])
+    filled = T.masked_fill(x, keep, T.MASK_FILL)
     probs = T.softmax(filled, axis=-1).data
     assert probs[0, 2] == 0.0
     assert probs.sum() == pytest.approx(1.0)
+    # keep= is masked_fill with MASK_FILL and softmax in one op
+    assert np.array_equal(T.softmax(x, axis=-1, keep=keep).data, probs)
+
+
+def test_masked_softmax_backward_fd():
+    """Masked key columns, broadcast over heads and queries, get no gradient,
+    also in a fully masked row, whose softmax is uniform."""
+    with T.verify_mode():
+        rng = np.random.default_rng(4)
+        x = T.Tensor(rng.normal(size=(3, 2, 4, 5)), requires_grad=True)
+        keep = np.array([[1, 1, 0, 1, 0], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]], dtype=bool)[:, None, None, :]
+        w = rng.normal(size=(3, 2, 4, 5))
+
+        def forward():
+            return T.sum_all(T.mul(T.softmax(x, axis=-1, keep=keep), T.constant(w)))
+
+        assert T.grad_check(forward, [x]) < 1e-4
+        assert np.all(np.broadcast_to(~keep, x.shape) <= (x.grad == 0.0))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["2d", "3d"])
+def test_linear_backward_fd(shape):
+    with T.verify_mode():
+        rng = np.random.default_rng(6)
+        x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=(5,)), requires_grad=True)
+        probe = rng.normal(size=shape[:-1] + (5,))
+
+        def forward():
+            return T.sum_all(T.mul(T.linear(x, w, b), T.constant(probe)))
+
+        assert np.allclose(T.linear(x, w, b).data, x.data @ w.data + b.data)
+        assert T.grad_check(forward, [x, w, b]) < 1e-4
+
+
+def test_linear_shape_error_mentions_all_shapes():
+    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\).*\(5,\)"):
+        T.linear(T.constant(np.zeros((2, 3))), T.constant(np.zeros((4, 5))), T.constant(np.zeros(5)))
 
 
 def test_layer_norm_backward_fd():

@@ -5,7 +5,7 @@ import pytest
 
 from xmc import tensor as t
 from xmc import trainer as trainer_mod
-from xmc.cluster import ClusterMap
+from xmc.cluster import ClusterMap, build_cluster_map, build_label_reps
 from xmc.corpus import Document, XmcDataset, Vocab, batch_iter
 from xmc.errors import ConfigError, TrainingStateError
 from xmc.optim import swa_update
@@ -175,6 +175,29 @@ def test_joint_micro_gradcheck():
         err = t.grad_check(forward, list(bundle.params.values()), h=1e-5)
         bundle.rng = rng_holder
         assert err < 1e-4
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["float32", "float64"])
+def test_synth64_step_gradient_layout_and_tape_size(verify):
+    """Every parameter gradient is C-contiguous and in its parameter's dtype.
+
+    ``global_grad_norm`` sums ``g * g`` pairwise, grouped by memory layout, so
+    a gradient in another layout with equal values changes the clipped update
+    and with it the checkpoint bytes.
+    """
+    with t.verify_mode(verify):
+        config = apply_preset(TrainConfig(), "synth-64")
+        sc = make_synthetic_corpus(n_train=64, n_test=8, seed=config.seed)
+        train_ds, _, vocab = corpus_datasets(sc, max_len=config.max_len)
+        cmap = build_cluster_map(build_label_reps(train_ds), config.cluster_size, config.seed)
+        bundle = init_bundle(config, vocab.size, cmap)
+        with t.record() as tape:
+            total, *_ = joint_losses(first_batch(train_ds, config), bundle, b_top=config.b_top)
+            tape.backward(total)
+    assert len(tape) <= 170
+    for name, p in bundle.params.items():
+        assert p.grad is not None, name
+        assert p.grad.flags.c_contiguous and p.grad.dtype == p.data.dtype, name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
