@@ -8,4 +8,4 @@ jointly and evaluated with P@k.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, set_verify_mode, verify_mode  # noqa: F401
+from .tensor import Tensor, set_verify_mode  # noqa: F401

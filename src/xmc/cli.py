@@ -23,7 +23,8 @@ from . import __version__
 from . import tensor as t
 from .checkpoint import atomic_write
 from .cluster import ClusterMap, build_cluster_map, build_label_reps
-from .corpus import Document, Vocab, XmcDataset, batch_iter, build_vocab, load_dataset, read_text, tokenize
+from .corpus import (Document, Vocab, XmcDataset, batch_iter, build_vocab, load_dataset, read_text, split_lines,
+                     tokenize)
 from .encoder import encoder_grad_check
 from .errors import ConfigError, ParseError, UsageError, XmcError
 from .predict import BATCH_SIZE, check_prediction_args, evaluate, predict_batch
@@ -65,7 +66,7 @@ def _read_config_file(path: Path) -> dict:
         entries = [member[:3] for member in _json_members(text, start)]
     else:
         entries = []
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(split_lines(text), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -117,7 +118,7 @@ def _field_type(name: str, hint) -> tuple[type, bool, tuple | None]:
 _SCHEMA = {name: _field_type(name, hint) for name, hint in typing.get_type_hints(TrainConfig).items()}
 # flag names that predate the schema; the rest are --field-name
 _FLAG_NAMES = {"cluster_size": "--max-size", "learning_rate": "--lr", "sampling_mode": "--sampling",
-               "swa_start_epoch": "--swa-start", "n_layers": "--layers", "n_heads": "--heads"}
+               "n_layers": "--layers", "n_heads": "--heads"}
 # Switches older manifests still carry: (their type, as _field_type gives it;
 # the value the code now always uses).  A file loads only with that value.
 _RETIRED = {
@@ -125,11 +126,26 @@ _RETIRED = {
     "decay_bias_norm": ((bool, False, None), False),
     "bottleneck_act": ((str, False, ("sigmoid", "relu")), "sigmoid"),
     "grad_clip": ((float, True, None), 5.0),
+    "weight_decay": ((float, False, None), 0.01),
+    "block_dropout": ((float, False, None), 0.1),
+    "swa_start_epoch": ((int, True, None), None),
 }
+# The accepted range of each numeric field, as a test and its wording; a field
+# not listed must be positive.  NaN fails every test.
+_RANGES = {
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "epochs": (lambda v: v >= 0, ">= 0"),  # 0 writes the initialized model only
+    "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+}
+_POSITIVE = (lambda v: 0 < v < float("inf"), "finite and > 0")
+
+
+def _flag(name: str) -> str:
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
 
 
 def _coerce(where: str, key: str, value, spec: tuple | None = None):
-    """A config value checked against the declared type of TrainConfig.<key>, or ``spec``; else a usage error."""
+    """A config value checked against TrainConfig.<key>'s type (or ``spec``) and range; else a usage error."""
     if spec is None and key not in _SCHEMA:
         raise UsageError(f"{where}: unknown config key {key!r}")
     kind, optional, choices = spec or _SCHEMA[key]
@@ -140,15 +156,19 @@ def _coerce(where: str, key: str, value, spec: tuple | None = None):
         with contextlib.suppress(KeyError, ValueError, OverflowError):
             value = {"true": True, "false": False}[value.lower()] if kind is bool else kind(value)
     if type(value) is kind and (choices is None or value in choices):
-        return value
-    want = f"one of {', '.join(choices)}" if choices else kind.__name__ + (" or none" if optional else "")
+        in_range, want = _RANGES.get(key, _POSITIVE)
+        if kind not in (int, float) or in_range(value):
+            return value
+    else:
+        want = f"one of {', '.join(choices)}" if choices else kind.__name__ + (" or none" if optional else "")
     raise UsageError(f"{where}: {key} must be {want}, got {value!r}")
 
 
 def resolve_train_config(args) -> TrainConfig:
     """Defaults < preset < --config file < explicit flags.  A preset named in
     the config file applies beneath that file's values, as --preset does."""
-    flags = {name: value for name in _SCHEMA if (value := getattr(args, name)) is not None}
+    flags = {name: _coerce(_flag(name), name, value)
+             for name in _SCHEMA if (value := getattr(args, name)) is not None}
     file_values = _read_config_file(Path(args.config)) if args.config else {}
     preset = flags.get("preset") or file_values.get("preset")
     config = apply_preset(TrainConfig(), preset) if preset else TrainConfig()
@@ -292,7 +312,7 @@ def cmd_predict(args) -> int:
     text = _require_file(args.text, "--text input file")
     bundle, config, vocab, b_top = _load_run(ckpt, args.b_top)
     use_swa = _resolve_weights_flag(args.weights)
-    lines = read_text(text).splitlines()
+    lines = split_lines(read_text(text))
     docs = [Document(i, tokenize(line, vocab, config.max_len), (), None) for i, line in enumerate(lines)]
     dataset = XmcDataset(docs, bundle.num_labels, feature_dim=0, split="test", vocab=vocab)
 
@@ -448,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "seed":  # a common flag
             continue
         how = {"choices": choices} if choices else {"type": kind}
-        train_flags.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+        train_flags.add_argument(_flag(name), dest=name,
                                  help=f"default {getattr(defaults, name)}", **how)
 
     parser = argparse.ArgumentParser(prog="xmc", description=__doc__)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .checkpoint import atomic_write
-from .corpus import XmcDataset, read_text
+from .corpus import XmcDataset, read_text, split_lines
 from .errors import ConfigError, ContractError, ParseError
 
 MAX_ITERS = 50
@@ -68,7 +68,7 @@ class ClusterMap:
     @classmethod
     def load(cls, path: str | Path) -> "ClusterMap":
         """A map as :meth:`save` writes it; anything else is a ParseError at file:line (the header's at line 1)."""
-        lines = read_text(path).splitlines()
+        lines = split_lines(read_text(path))
         try:
             k, num_labels, s, seed = (int(v) for v in (lines[0].split() if lines else ()))
         except ValueError as exc:

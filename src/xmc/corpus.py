@@ -31,10 +31,10 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 @contextlib.contextmanager
 def open_text(path: str | Path):
-    """An input file opened as UTF-8 text; a directory, or a byte that is not
-    UTF-8 (located at the line that holds it), raises ParseError."""
+    """An input file opened as UTF-8 text, its lines ending at LF only; a
+    directory, or a byte that is not UTF-8 (located at its line), raises ParseError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             yield fh
     except IsADirectoryError:
         raise ParseError(f"{path} is a directory, not a text file") from None
@@ -49,6 +49,13 @@ def open_text(path: str | Path):
 def read_text(path: str | Path) -> str:
     with open_text(path) as fh:
         return fh.read()
+
+
+def split_lines(text: str) -> list[str]:
+    """``text`` split at LF only, so line numbers count the LFs and a lone CR or
+    another Unicode break stays inside its line; a CRLF's CR is dropped and, as
+    with str.splitlines, a final LF ends the last line rather than starting one."""
+    return [line.removesuffix("\r") for line in text.removesuffix("\n").split("\n")] if text else []
 
 
 @dataclass
@@ -90,7 +97,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = read_text(path).splitlines()
+        lines = split_lines(read_text(path))
         if not lines:
             raise ParseError(f"{path}:1: empty vocab file")
         try:
@@ -195,7 +202,7 @@ def load_sparse(path: str | Path, require_labels: bool = True):
 
 
 def save_sparse(path: str | Path, rows: Sequence[tuple[tuple[int, ...], SparseVec]], dim: int, num_labels: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{len(rows)} {dim} {num_labels}\n")
         for labels, vec in rows:
             label_field = ",".join(str(l) for l in labels)
@@ -238,7 +245,7 @@ def load_dataset(
     rows, n, dim, num_labels = load_sparse(sparse_path, require_labels=(split == "train"))
     texts: list[str] | None = None
     if text_path is not None:
-        texts = read_text(text_path).splitlines()
+        texts = split_lines(read_text(text_path))
         # row i of the sparse file is its line i + 2, after the header
         if len(texts) < n:
             raise ParseError(f"{sparse_path}:{len(texts) + 2}: row {len(texts) + 1} has no line in {text_path}, "

@@ -18,6 +18,7 @@ from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
 INIT_STD = 0.02
+BLOCK_DROPOUT = 0.1  # inside attention/feed-forward blocks
 
 
 @dataclass
@@ -29,7 +30,6 @@ class EncoderConfig:
     ff_dim: int
     max_positions: int
     dropout: float = 0.5  # on the concatenated representation
-    block_dropout: float = 0.1  # inside attention/feed-forward blocks
     concat_layers: int = 5
 
     def __post_init__(self):
@@ -128,17 +128,17 @@ def encode(
         k = _split_heads(t.linear(pre, params[f"{prefix}.attn.k.w"], params[f"{prefix}.attn.k.b"]), config.n_heads)
         v = _split_heads(t.linear(pre, params[f"{prefix}.attn.v.w"], params[f"{prefix}.attn.v.b"]), config.n_heads)
         scores = t.scale(t.matmul(q, t.transpose(k, (0, 1, 3, 2))), inv_sqrt)
-        weights = t.dropout(t.softmax(scores, axis=-1, keep=key_keep), config.block_dropout, training, rng)
+        weights = t.dropout(t.softmax(scores, axis=-1, keep=key_keep), BLOCK_DROPOUT, training, rng)
         ctx = _merge_heads(t.matmul(weights, v))
         ctx = t.linear(ctx, params[f"{prefix}.attn.o.w"], params[f"{prefix}.attn.o.b"])
-        ctx = t.dropout(ctx, config.block_dropout, training, rng)
+        ctx = t.dropout(ctx, BLOCK_DROPOUT, training, rng)
         x = t.add(x, ctx)
 
         pre2 = t.layer_norm(x, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
         ff = t.linear(pre2, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"])
         ff = t.gelu(ff)
         ff = t.linear(ff, params[f"{prefix}.ff.w2"], params[f"{prefix}.ff.b2"])
-        ff = t.dropout(ff, config.block_dropout, training, rng)
+        ff = t.dropout(ff, BLOCK_DROPOUT, training, rng)
         x = t.add(x, ff)
 
         cls_states.append(
@@ -161,7 +161,6 @@ def micro_config(vocab_size: int = 50, max_positions: int = 8) -> EncoderConfig:
         ff_dim=16,
         max_positions=max_positions,
         dropout=0.5,
-        block_dropout=0.1,
         concat_layers=5,
     )
 

@@ -9,9 +9,11 @@ import numpy as np
 from .errors import TrainingStateError
 from .tensor import Tensor
 
-# Parameter-name leaves that are exempt from weight decay by default
+# Parameter-name leaves that are exempt from weight decay
 # (biases and layer-norm gains/shifts).
 DECAY_EXEMPT_LEAVES = frozenset({"b", "b1", "b2", "b_g", "b_h", "beta", "gamma"})
+BETA1, BETA2 = 0.9, 0.999  # decay rates of Adam's first and second moments
+EPS = 1e-8  # keeps the update's denominator above zero
 
 
 def is_decay_exempt(name: str) -> bool:
@@ -20,14 +22,10 @@ def is_decay_exempt(name: str) -> bool:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter Adam moments plus the decoupled-decay bookkeeping."""
+    """Per-parameter Adam moments plus the step size and decoupled decay."""
 
     learning_rate: float
     weight_decay: float
-    decay_exempt: set[str] = field(default_factory=set)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -71,8 +69,8 @@ class _Scratch:
 def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """One AdamW update over all parameters, in place.
 
-    Decoupled weight decay is applied only to parameters not in
-    ``state.decay_exempt``.  Every parameter must carry a gradient.
+    Decoupled weight decay skips the parameters :func:`is_decay_exempt`
+    names.  Every parameter must carry a gradient.
 
     A parameter of more than BLOCK elements is updated one block at a time
     with the elementwise operations of a whole-array update, in the same
@@ -88,18 +86,17 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
 
     state.step_count += 1
     t = state.step_count
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    c1, c2 = 1.0 - b1, 1.0 - b2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    c1, c2 = 1.0 - BETA1, 1.0 - BETA2
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     lr = state.learning_rate
     shrink = 1.0 - lr * state.weight_decay
     scratch = _Scratch(2)
 
     def update(p, g, m, v, touched, decay, s1=None, s2=None):
         # m = m*b1 + (1-b1)*g;  v = v*b2 + ((1-b2)*g)*g
-        m *= b1
-        v *= b2
+        m *= BETA1
+        v *= BETA2
         if touched is None:
             m += np.multiply(g, c1, out=s1)
             s1 = np.multiply(g, c2, out=s1)
@@ -115,7 +112,7 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         s1 = np.divide(m, bc1, out=s1)
         s1 *= lr
         s2 = np.sqrt(np.divide(v, bc2, out=s2), out=s2)
-        s2 += eps
+        s2 += EPS
         s1 /= s2
         p -= s1
 
@@ -124,7 +121,7 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        decay = state.weight_decay != 0.0 and name not in state.decay_exempt
+        decay = state.weight_decay != 0.0 and not is_decay_exempt(name)
         if p.data.size <= BLOCK:
             update(p.data, p.grad, m, state.v[name], None, decay)
             continue

@@ -34,9 +34,6 @@ class DiscriminatorParams:
     def embed_dim(self) -> int:
         return self.label_emb.shape[1]
 
-    def param_count(self) -> int:
-        return self.label_emb.size + self.bottleneck_w.size + self.bottleneck_b.size
-
 
 def init_discriminator(
     num_labels: int, embed_dim: int, rep_width: int, rng: np.random.Generator

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .corpus import SparseVec, TfidfVectorizer, save_sparse
 
 FILLER_POOL = 50
@@ -54,8 +55,9 @@ class SynthCorpus:
             self.feature_dim,
             self.num_labels,
         )
-        paths["train_text"].write_text("\n".join(self.train_texts) + "\n", encoding="utf-8")
-        paths["test_text"].write_text("\n".join(self.test_texts) + "\n", encoding="utf-8")
+        for name, texts in (("train_text", self.train_texts), ("test_text", self.test_texts)):
+            with atomic_write(paths[name]) as fh:
+                fh.write("\n".join(texts) + "\n")
         return paths
 
 

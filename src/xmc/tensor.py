@@ -48,18 +48,6 @@ def verify_enabled() -> bool:
     return _nan_check
 
 
-@contextlib.contextmanager
-def verify_mode(enabled: bool = True):
-    """Temporarily switch the numeric mode (used heavily by tests)."""
-    global _dtype, _nan_check
-    prev_dtype, prev_check = _dtype, _nan_check
-    set_verify_mode(enabled)
-    try:
-        yield
-    finally:
-        _dtype, _nan_check = prev_dtype, prev_check
-
-
 class Tensor:
     """A dense row-major array plus an optional same-shape grad accumulator.
 

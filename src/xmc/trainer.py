@@ -24,13 +24,14 @@ from .cluster import ClusterMap, build_cluster_map, build_label_reps, cluster_ta
 from .corpus import Batch, XmcDataset, batch_iter
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .errors import ConfigError, ContractError, TrainingError
-from .optim import OptimizerState, SwaState, adamw_step, clip_grads, is_decay_exempt, swa_update
+from .optim import OptimizerState, SwaState, adamw_step, clip_grads, swa_update
 from .rank import DiscriminatorParams, gather_embeddings, init_discriminator, pad_candidates, rank_loss, rank_scores
 from .recall import CandidateSet, GeneratorParams, init_generator, recall_loss, recall_scores, sample_candidates
 from .tensor import Tensor
 
 DEFAULT_EMBED_DIM = 256
 GRAD_CLIP = 5.0  # global gradient-norm bound of every step
+WEIGHT_DECAY = 0.01  # decoupled AdamW decay of every non-exempt parameter
 
 
 @dataclass
@@ -43,10 +44,8 @@ class TrainConfig:
     cluster_size: int = 8  # max labels per cluster (s)
     max_len: int = 128
     learning_rate: float = 1e-4
-    weight_decay: float = 0.01
     dropout: float = 0.5
     sampling_mode: Literal["dynamic", "static"] = "dynamic"
-    swa_start_epoch: int | None = None  # default: epochs // 2 + 1
     seed: int = 7
     # encoder dims are deliberately separate flags so a preset's training
     # regime can be reused unchanged at any encoder scale
@@ -55,11 +54,7 @@ class TrainConfig:
     n_heads: int = 4
     ff_dim: int = 128
     concat_layers: int = 5
-    block_dropout: float = 0.1
     min_freq: int = 1
-
-    def resolved_swa_start(self) -> int:
-        return self.swa_start_epoch if self.swa_start_epoch is not None else self.epochs // 2 + 1
 
     def resolved_embed_dim(self) -> int:
         return self.embed_dim if self.embed_dim is not None else DEFAULT_EMBED_DIM
@@ -155,7 +150,6 @@ def init_bundle(config: TrainConfig, vocab_size: int, cluster_map: ClusterMap) -
         ff_dim=config.ff_dim,
         max_positions=config.max_len,
         dropout=config.dropout,
-        block_dropout=config.block_dropout,
         concat_layers=config.concat_layers,
     )
     rng = np.random.default_rng(config.seed)
@@ -170,11 +164,7 @@ def init_bundle(config: TrainConfig, vocab_size: int, cluster_map: ClusterMap) -
     params["discriminator.W_h"] = discriminator.bottleneck_w
     params["discriminator.b_h"] = discriminator.bottleneck_b
 
-    opt = OptimizerState(
-        learning_rate=config.learning_rate,
-        weight_decay=config.weight_decay,
-        decay_exempt={n for n in params if is_decay_exempt(n)},
-    )
+    opt = OptimizerState(learning_rate=config.learning_rate, weight_decay=WEIGHT_DECAY)
     return ModelBundle(config, enc_config, params, cluster_map, opt, SwaState(), rng)
 
 
@@ -305,7 +295,7 @@ def train(
         out_path.mkdir(parents=True, exist_ok=True)
 
     metrics: list[dict] = []
-    swa_start = config.resolved_swa_start()
+    swa_start = config.epochs // 2 + 1  # SWA averages every epoch after the first half
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         sum_g = sum_d = 0.0

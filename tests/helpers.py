@@ -1,15 +1,30 @@
-"""Builders that only the tests use."""
+"""Builders and switches that only the tests use."""
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from xmc import tensor as t
 from xmc.corpus import Document, XmcDataset, build_vocab, tokenize
+from xmc.rank import DiscriminatorParams
 from xmc.synth import SynthCorpus
 from xmc.tensor import Tensor
+
+
+@contextlib.contextmanager
+def verify_mode(enabled: bool = True):
+    """Switch the numeric mode for the block (float64 with NaN checks when
+    ``enabled``), then restore the previous mode."""
+    previous = t.verify_enabled()
+    t.set_verify_mode(enabled)
+    try:
+        yield
+    finally:
+        t.set_verify_mode(previous)
 
 
 def param(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
@@ -34,3 +49,8 @@ def corpus_datasets(sc: SynthCorpus, max_len: int = 16, min_freq: int = 1):
     train = build(sc.train_texts, sc.train_labels, sc.train_sparse, "train")
     test = build(sc.test_texts, sc.test_labels, sc.test_sparse, "test")
     return train, test, vocab
+
+
+def param_count(disc: DiscriminatorParams) -> int:
+    """Number of trainable values in the rank head."""
+    return disc.label_emb.size + disc.bottleneck_w.size + disc.bottleneck_b.size

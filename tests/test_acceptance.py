@@ -28,7 +28,7 @@ from xmc.trainer import (
     train,
 )
 
-from helpers import corpus_datasets
+from helpers import corpus_datasets, param_count, verify_mode
 
 
 @contextmanager
@@ -58,7 +58,7 @@ def _random_reps(num_labels, dim, rng):
 def test_criterion_1_gradient_fidelity():
     with criterion(1, "joint-loss gradients match finite differences at <1e-4 in <30s"):
         started = time.perf_counter()
-        with t.verify_mode():
+        with verify_mode():
             err = micro_joint_grad_check(seed=3)
         elapsed = time.perf_counter() - started
         print(f"  max rel err = {err:.3e}, runtime = {elapsed:.1f}s")
@@ -189,7 +189,7 @@ def _brute_force_scores(bundle, token_ids, mask):
 def test_criterion_5_exhaustive_ranking_equivalence():
     with criterion(5, "predict ordering equals brute-force scoring on 100 random models in <30s"):
         started = time.perf_counter()
-        with t.verify_mode():
+        with verify_mode():
             rng = np.random.default_rng(5)
             for _ in range(100):
                 bundle, num_labels = _random_model(rng)
@@ -267,7 +267,7 @@ def test_criterion_8_discriminator_size_formula():
             embed_dim = int(rng.integers(4, 512))
             rep_width = int(rng.integers(8, 640))
             disc = init_discriminator(num_labels, embed_dim, rep_width, rng)
-            assert disc.param_count() == num_labels * embed_dim + embed_dim * (rep_width + 1)
+            assert param_count(disc) == num_labels * embed_dim + embed_dim * (rep_width + 1)
 
 
 EURLEX_DIR = os.environ.get("XMC_EURLEX_DIR")

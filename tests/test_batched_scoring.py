@@ -18,6 +18,8 @@ from xmc.predict import ensemble_predict, evaluate, predict_batch
 from xmc.recall import recall_loss, recall_scores, sample_candidates, top_clusters
 from xmc.trainer import TrainConfig, init_bundle, joint_losses
 
+from helpers import verify_mode
+
 RTOL = 1e-10
 # Absolute floor for gradient entries that are zero in exact arithmetic: a
 # key bias cannot change a softmax, so its gradient is rounding noise near
@@ -165,7 +167,7 @@ def _assert_same_predictions(new, reference):
 
 
 def test_joint_losses_and_gradients_match_per_instance_reference():
-    with t.verify_mode():
+    with verify_mode():
         for _, _, bundle, batch in _problems():
             config = bundle.config
 
@@ -191,7 +193,7 @@ def test_joint_losses_and_gradients_match_per_instance_reference():
 
 
 def test_predict_batch_matches_per_instance_reference():
-    with t.verify_mode():
+    with verify_mode():
         for rng, num_labels, bundle, batch in _problems():
             b_top = int(rng.integers(1, bundle.cluster_map.num_clusters + 1))
             k = int(rng.integers(1, num_labels + 2))
@@ -201,7 +203,7 @@ def test_predict_batch_matches_per_instance_reference():
 
 
 def test_ensemble_predict_matches_dense_buffer_reference():
-    with t.verify_mode():
+    with verify_mode():
         for rng, num_labels, bundle, batch in _problems():
             # members with their own cluster maps over the same label space
             members = [bundle] + [
@@ -228,7 +230,7 @@ def _reference_cluster_recall(bundles, batch, b_top):
 
 
 def test_evaluate_cluster_recall_matches_second_encode_reference():
-    with t.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(7)
         for _ in range(10):
             num_labels = int(rng.integers(4, 24))

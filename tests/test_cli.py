@@ -157,9 +157,32 @@ def test_train_static_mode_recorded(tmp_path, corpus_files):
         pytest.param("--ckpt", "vocab.txt", "1\ntopic0\ntopic1\ntopic0\n", 4, id="vocab-repeats-token"),
         pytest.param("--text", "raw.txt", "topic0 word\n" * 49, 49, id="text-longer-than-sparse"),
         pytest.param("predict --text", "raw.txt", b"topic0 word\nword \xc3\n", 2, id="predict-text-not-utf8"),
+        pytest.param("--config", "heads.txt", "epochs=1\nn_heads=0\n", 2, id="config-heads-0"),
+        pytest.param("--config", "hidden.json", '{\n  "hidden": 0\n}\n', 2, id="config-hidden-0"),
+        pytest.param("--config", "ff.txt", "ff_dim=0\n", 1, id="config-ff-dim-0"),
+        pytest.param("--config", "embed.json", '{"config": {"embed_dim": 0}}\n', 1, id="config-embed-dim-0"),
+        pytest.param("--config", "epochs.txt", "epochs=-1\n", 1, id="config-epochs-negative"),
+        pytest.param("--config", "lr.txt", "learning_rate=-1\n", 1, id="config-lr-negative"),
+        pytest.param("--config", "lr.json", '{\n  "epochs": 1,\n  "learning_rate": NaN\n}\n', 3, id="config-lr-nan"),
+        pytest.param("--config", "dropout.txt", "dropout=1.0\n", 1, id="config-dropout-1"),
+        # a flag's value is checked as a config file's is; the error names the flag
+        pytest.param("--heads", None, "0", None, id="flag-heads-0"),
+        pytest.param("--hidden", None, "0", None, id="flag-hidden-0"),
+        pytest.param("--ff-dim", None, "0", None, id="flag-ff-dim-0"),
+        pytest.param("--embed-dim", None, "0", None, id="flag-embed-dim-0"),
+        pytest.param("--epochs", None, "-1", None, id="flag-epochs-negative"),
+        pytest.param("--lr", None, "-1", None, id="flag-lr-negative"),
+        pytest.param("--lr", None, "nan", None, id="flag-lr-nan"),
     ],
 )
 def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_run, capsys, flag, name, content, line):
+    if name is None:  # ``content`` is the flag's value, given after TINY_FLAGS so that it wins
+        code = main(["train", "--sparse", str(corpus_files["train_sparse"]), "--text", str(corpus_files["train_text"]),
+                     "--out-dir", str(tmp_path / "r"), *TINY_FLAGS, flag, content])
+        assert code == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()  # rejected before the run wrote anything
+        return
     bad = tmp_path / name
     bad.write_bytes(content) if isinstance(content, bytes) else bad.write_text(content)
     if flag == "predict --text":
@@ -376,6 +399,9 @@ def test_manifest_with_retired_rank_target_invert(tmp_path, trained_run):
     ("decay_bias_norm", [False, "False"], [True, 0]),
     ("bottleneck_act", ["sigmoid"], ["relu", "tanh"]),
     ("grad_clip", [5.0, 5, "5"], [None, "none", 1.0]),
+    ("weight_decay", [0.01, "0.01"], [0.0, "0.1", None]),
+    ("block_dropout", [0.1, "0.1"], [0.0, 0.2, "none"]),
+    ("swa_start_epoch", [None, "none", ""], [1, "2"]),
 ])
 def test_retired_switch_loads_only_at_its_fixed_value(tmp_path, trained_run, capsys, key, kept, refused):
     manifest = json.loads((trained_run / "manifest.json").read_text())
@@ -517,16 +543,13 @@ _TRAIN_SURFACE = {
     "--max-size": (int, None, "_StoreAction"),
     "--max-len": (int, None, "_StoreAction"),
     "--lr": (float, None, "_StoreAction"),
-    "--weight-decay": (float, None, "_StoreAction"),
     "--dropout": (float, None, "_StoreAction"),
     "--sampling": (None, ["dynamic", "static"], "_StoreAction"),
-    "--swa-start": (int, None, "_StoreAction"),
     "--hidden": (int, None, "_StoreAction"),
     "--layers": (int, None, "_StoreAction"),
     "--heads": (int, None, "_StoreAction"),
     "--ff-dim": (int, None, "_StoreAction"),
     "--concat-layers": (int, None, "_StoreAction"),
-    "--block-dropout": (float, None, "_StoreAction"),
     "--min-freq": (int, None, "_StoreAction"),
 }
 

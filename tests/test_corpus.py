@@ -21,6 +21,7 @@ from xmc.corpus import (
     tokenize,
 )
 from xmc.errors import ConfigError, ParseError
+from xmc.synth import make_synthetic_corpus
 
 
 @pytest.fixture
@@ -77,6 +78,22 @@ def test_sparse_roundtrip_semantic(tmp_path, tiny_sparse):
         assert la == lb
         assert np.array_equal(va.indices, vb.indices)
         assert np.allclose(va.values, vb.values)
+
+
+@pytest.mark.parametrize("fails", ["sparse", "text"])
+def test_failed_corpus_write_leaves_old_file_untouched(tmp_path, fails):
+    sc = make_synthetic_corpus(num_labels=8, num_topics=4, n_train=6, n_test=2, seed=1)
+    if fails == "sparse":
+        old, written = tmp_path / "train.txt", []
+        sc.train_sparse[3] = None  # fails after the first rows are written
+    else:
+        old, written = tmp_path / "train_raw.txt", ["test.txt", "train.txt"]
+        sc.train_texts[3] = "topic0 \ud800"  # a lone surrogate fails to encode mid-write
+    old.write_bytes(b"old corpus\n")
+    with pytest.raises((AttributeError, UnicodeEncodeError)):
+        sc.write(tmp_path)
+    assert old.read_bytes() == b"old corpus\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([old.name, *written])
 
 
 def test_load_sparse_rejects_bad_features_with_location(tmp_path):

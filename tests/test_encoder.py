@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from xmc import tensor as t
 from xmc.encoder import EncoderConfig, encode, encoder_grad_check, init_encoder_params, micro_config
 from xmc.errors import ConfigError, ContractError
+
+from helpers import verify_mode
 
 
 def _setup(hidden=16, n_layers=3, n_heads=2, concat=5, vocab=30, max_pos=10, seed=0):
@@ -17,7 +18,6 @@ def _setup(hidden=16, n_layers=3, n_heads=2, concat=5, vocab=30, max_pos=10, see
         ff_dim=2 * hidden,
         max_positions=max_pos,
         dropout=0.5,
-        block_dropout=0.1,
         concat_layers=concat,
     )
     params = init_encoder_params(config, np.random.default_rng(seed))
@@ -136,7 +136,7 @@ def test_dropout_changes_training_output_only():
 
 
 def test_encoder_grad_check_micro():
-    with t.verify_mode():
+    with verify_mode():
         err = encoder_grad_check(seed=0)
     assert err < 1e-4
 

@@ -16,10 +16,12 @@ import pytest
 from scipy.special import erf
 
 from xmc import tensor as t
-from xmc.encoder import EncoderConfig, encode, init_encoder_params
+from xmc.encoder import BLOCK_DROPOUT, EncoderConfig, encode, init_encoder_params
 from xmc.rank import init_discriminator, rank_scores
 from xmc.recall import init_generator, recall_scores
 from xmc.tensor import Tensor
+
+from helpers import verify_mode
 
 # ---------------------------------------------------------------------------
 # references
@@ -118,14 +120,14 @@ def _ref_encode(token_ids, mask, config, params, training, rng):
         q, k, v = (split(_ref_linear(pre, params[f"{p}.attn.{n}.w"], params[f"{p}.attn.{n}.b"])) for n in "qkv")
         scores = t.scale(t.matmul(q, t.transpose(k, (0, 1, 3, 2))), inv_sqrt)
         scores = t.masked_fill(scores, key_keep, t.MASK_FILL)
-        weights = _ref_dropout(_ref_softmax(scores, axis=-1), config.block_dropout, training, rng)
+        weights = _ref_dropout(_ref_softmax(scores, axis=-1), BLOCK_DROPOUT, training, rng)
         ctx = t.reshape(t.transpose(t.matmul(weights, v), (0, 2, 1, 3)), (batch, seq, config.hidden))
         ctx = _ref_linear(ctx, params[f"{p}.attn.o.w"], params[f"{p}.attn.o.b"])
-        x = t.add(x, _ref_dropout(ctx, config.block_dropout, training, rng))
+        x = t.add(x, _ref_dropout(ctx, BLOCK_DROPOUT, training, rng))
         pre2 = _ref_layer_norm(x, params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
         ff = _ref_gelu(_ref_linear(pre2, params[f"{p}.ff.w1"], params[f"{p}.ff.b1"]))
         ff = _ref_linear(ff, params[f"{p}.ff.w2"], params[f"{p}.ff.b2"])
-        x = t.add(x, _ref_dropout(ff, config.block_dropout, training, rng))
+        x = t.add(x, _ref_dropout(ff, BLOCK_DROPOUT, training, rng))
         cls_states.append(
             _ref_layer_norm(t.take(x, 0, axis=1), params["encoder.lnf.gamma"], params["encoder.lnf.beta"])
         )
@@ -162,13 +164,15 @@ def _run(encoder, params, probe, training, **inputs):
 @pytest.mark.parametrize("verify", [False, True], ids=["float32", "float64"])
 @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
 def test_encode_matches_reference_bit_for_bit(monkeypatch, verify, training):
+    # a representation dropout unlike BLOCK_DROPOUT, so swapping the two rates fails
     config = EncoderConfig(vocab_size=40, hidden=16, n_layers=3, n_heads=4, ff_dim=24, max_positions=9,
-                           dropout=0.3, block_dropout=0.2, concat_layers=2)
+                           dropout=0.3, concat_layers=2)
+    assert config.dropout != BLOCK_DROPOUT
     rng = np.random.default_rng(5)
     token_ids = rng.integers(0, 40, size=(4, 9))
     mask = np.arange(9) < np.array([9, 6, 1, 0])[:, None]  # padded rows, one with one token, one with none
     token_ids[~mask] = 0
-    with t.verify_mode(verify):
+    with verify_mode(verify):
         params = init_encoder_params(config, np.random.default_rng(11))
         probe = rng.normal(size=(4, config.rep_width))
         inputs = dict(token_ids=token_ids, mask=mask, config=config)
@@ -188,7 +192,7 @@ def test_encode_matches_reference_bit_for_bit(monkeypatch, verify, training):
 def test_head_affine_maps_match_matmul_add(monkeypatch, verify):
     """recall_scores and rank_scores through t.linear equal add(matmul(rep, W.T), b)."""
     rng = np.random.default_rng(2)
-    with t.verify_mode(verify):
+    with verify_mode(verify):
         gen = init_generator(6, 10, rng)
         disc = init_discriminator(12, 5, 10, rng)
         gen.bias.data[:] = rng.normal(size=6)

@@ -28,7 +28,7 @@ from xmc.rank import (
     rank_scores,
 )
 
-from helpers import param
+from helpers import param, param_count
 
 
 def _map_of_pairs(num_clusters=4):
@@ -339,4 +339,4 @@ def test_discriminator_param_count_formula():
         embed_dim = int(rng.integers(2, 64))
         rep_width = int(rng.integers(4, 128))
         disc = init_discriminator(num_labels, embed_dim, rep_width, rng)
-        assert disc.param_count() == num_labels * embed_dim + embed_dim * (rep_width + 1)
+        assert param_count(disc) == num_labels * embed_dim + embed_dim * (rep_width + 1)

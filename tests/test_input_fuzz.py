@@ -8,7 +8,7 @@ message names ``file:line:`` with a line that exists in the file.
 
 import re
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xmc.cli import USAGE_ERRORS
@@ -50,6 +50,10 @@ def _mutate(data: bytes, mutations) -> bytes:
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(sorted(VALID)), mutations=_MUTATIONS)
+# a lone CR or a vertical tab is no line break for the line numbers the messages count
+@example(kind="vocab", mutations=[("replace", 2, b"\x0b"), ("replace", 179, b"\r")])
+@example(kind="clusters", mutations=[("replace", 7, b"\x0b"), ("replace", 19, b"\x0b"), ("replace", 22, b"x")])
+@example(kind="sparse", mutations=[("replace", 5, b"\r"), ("replace", 22, b"\r"), ("replace", 44, b"x")])
 def test_damaged_input_loads_or_names_file_and_line(tmp_path, kind, mutations):
     data = _mutate(VALID[kind], mutations)
     path = tmp_path / f"{kind}.txt"
@@ -67,3 +71,11 @@ def test_valid_inputs_load(tmp_path):
         path = tmp_path / f"{kind}.txt"
         path.write_bytes(data)
         LOADERS[kind](path)
+
+
+def test_crlf_inputs_load_as_lf(tmp_path):
+    for kind, data in VALID.items():
+        lf, crlf = tmp_path / f"{kind}.lf", tmp_path / f"{kind}.crlf"
+        lf.write_bytes(data)
+        crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+        assert repr(LOADERS[kind](crlf)) == repr(LOADERS[kind](lf))

@@ -17,6 +17,8 @@ from xmc.optim import (
     swa_update,
 )
 
+from helpers import verify_mode
+
 
 def _param(value):
     p = T.Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
@@ -24,7 +26,7 @@ def _param(value):
 
 
 def test_decay_only_step_hand_computed():
-    with T.verify_mode():
+    with verify_mode():
         p = _param([1.0])
         p.grad = np.zeros(1)
         state = OptimizerState(learning_rate=1e-4, weight_decay=0.01)
@@ -35,16 +37,16 @@ def test_decay_only_step_hand_computed():
 
 
 def test_exempt_param_zero_grad_unchanged():
-    with T.verify_mode():
+    with verify_mode():
         p = _param([3.0])
         p.grad = np.zeros(1)
-        state = OptimizerState(learning_rate=1e-3, weight_decay=0.01, decay_exempt={"b"})
+        state = OptimizerState(learning_rate=1e-3, weight_decay=0.01)
         adamw_step({"b": p}, state)
         assert p.data[0] == pytest.approx(3.0)
 
 
 def test_first_step_bias_corrected():
-    with T.verify_mode():
+    with verify_mode():
         p = _param([0.0])
         p.grad = np.ones(1)
         state = OptimizerState(learning_rate=1e-4, weight_decay=0.0)
@@ -61,7 +63,7 @@ def test_missing_grad_raises():
 
 
 def test_lr_zero_is_identity():
-    with T.verify_mode():
+    with verify_mode():
         p = _param([1.5, -2.5])
         p.grad = np.array([0.3, -0.7])
         state = OptimizerState(learning_rate=0.0, weight_decay=0.0)
@@ -101,7 +103,7 @@ def test_decay_exempt_name_rule():
 
 
 def test_swa_first_snapshot_equals_params():
-    with T.verify_mode():
+    with verify_mode():
         p = _param([4.0])
         state = SwaState()
         swa_update(state, {"w": p})
@@ -110,7 +112,7 @@ def test_swa_first_snapshot_equals_params():
 
 
 def test_swa_two_point_mean():
-    with T.verify_mode():
+    with verify_mode():
         state = SwaState()
         p = _param([0.0])
         swa_update(state, {"w": p})
@@ -120,7 +122,7 @@ def test_swa_two_point_mean():
 
 
 def test_swa_three_point_mean_and_count():
-    with T.verify_mode():
+    with verify_mode():
         state = SwaState()
         p = _param([1.0])
         for value in (1.0, 2.0, 3.0):
@@ -131,7 +133,7 @@ def test_swa_three_point_mean_and_count():
 
 
 def test_swa_matches_brute_force_mean():
-    with T.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(5)
         snaps = [rng.normal(size=(3, 2)) for _ in range(7)]
         state = SwaState()

@@ -16,10 +16,12 @@ import pytest
 
 import xmc.trainer
 from xmc import tensor as t
-from xmc.optim import BLOCK, OptimizerState, SwaState, adamw_step, clip_grads, swa_update
+from xmc.optim import (
+    BETA1, BETA2, BLOCK, EPS, OptimizerState, SwaState, adamw_step, clip_grads, is_decay_exempt, swa_update,
+)
 from xmc.trainer import build_micro_problem, train
 
-from helpers import param
+from helpers import param, verify_mode
 
 # ---------------------------------------------------------------------------
 # whole-array references
@@ -28,8 +30,8 @@ from helpers import param
 def _reference_adamw_step(params, state):
     state.step_count += 1
     step = state.step_count
-    bc1 = 1.0 - state.beta1**step
-    bc2 = 1.0 - state.beta2**step
+    bc1 = 1.0 - BETA1**step
+    bc2 = 1.0 - BETA2**step
     lr = state.learning_rate
     for name, p in params.items():
         g = p.grad
@@ -38,13 +40,13 @@ def _reference_adamw_step(params, state):
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        if state.weight_decay != 0.0 and name not in state.decay_exempt:
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        if state.weight_decay != 0.0 and not is_decay_exempt(name):
             p.data *= 1.0 - lr * state.weight_decay
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def _reference_clip_grads(params, max_norm):
@@ -99,13 +101,14 @@ SHAPES = [
 # gradient kinds: "hinted" gets two embedding backwards (rows hint kept);
 # "mixed" gets a dense term after its embedding backward (hint dropped);
 # "mixed_rev" gets its embedding backward after a dense term; "dense" only
-# dense terms
+# dense terms.  The EXEMPT names are a hinted and a dense parameter whose
+# name leaves is_decay_exempt picks.
 KINDS = ("hinted", "mixed", "mixed_rev", "dense")
-EXEMPT = {"hinted_exempt", "dense_exempt"}
+EXEMPT = ("hinted.b", "dense.gamma")
 
 
 def _make_params(shape, rng):
-    names = [*KINDS, "hinted_exempt", "dense_exempt"]
+    names = [*KINDS, *EXEMPT]
     return {name: param(shape, rng, scale=0.5) for name in names}
 
 
@@ -124,9 +127,9 @@ def _draw_step(shape, rng):
         return rng.normal(size=index_shape + shape[1:]) * 10.0 ** rng.integers(-3, 2)
 
     draw = {}
-    for name in ("hinted", "hinted_exempt", "mixed", "mixed_rev"):
+    for name in ("hinted", "hinted.b", "mixed", "mixed_rev"):
         draw[name] = [(i, grad(i.shape)) for i in (ids(), ids())]
-    for name in ("mixed", "mixed_rev", "dense", "dense_exempt"):
+    for name in ("mixed", "mixed_rev", "dense", "dense.gamma"):
         draw[name + ".dense"] = rng.normal(size=shape)
     return draw
 
@@ -146,7 +149,7 @@ def _backward(params, draw, embed):
     for p in params.values():
         p.grad = None
     with t.record() as tape:
-        for name in ("hinted", "hinted_exempt"):
+        for name in ("hinted", "hinted.b"):
             emb(name, 0)
             emb(name, 1)
         dense("mixed")
@@ -154,7 +157,7 @@ def _backward(params, draw, embed):
         emb("mixed_rev", 0)
         dense("mixed_rev")
         dense("dense")
-        dense("dense_exempt")
+        dense("dense.gamma")
         tape.backward(t.add_n(terms))
 
 
@@ -167,12 +170,13 @@ def _assert_equal(a, b, what):
 @pytest.mark.parametrize("max_norm", [1e12, 1e-2], ids=["no-clip", "clip"])
 @pytest.mark.parametrize("shape", SHAPES, ids=[str(s) for s in SHAPES])
 def test_update_matches_whole_array_reference(shape, max_norm, verify):
-    with t.verify_mode(verify):
+    assert all(map(is_decay_exempt, EXEMPT)) and not any(map(is_decay_exempt, KINDS))
+    with verify_mode(verify):
         rng = np.random.default_rng(sum(shape))
         new = _make_params(shape, np.random.default_rng(0))
         ref = _make_params(shape, np.random.default_rng(0))
-        new_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1, decay_exempt=set(EXEMPT))
-        ref_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1, decay_exempt=set(EXEMPT))
+        new_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1)
+        ref_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1)
         new_swa, ref_swa = SwaState(), SwaState()
         fired = []
         for step in range(4):
@@ -181,10 +185,10 @@ def test_update_matches_whole_array_reference(shape, max_norm, verify):
             _backward(ref, draw, _reference_embedding)
             for name in new:
                 _assert_equal(new[name].grad, ref[name].grad, f"grad {name} step {step}")
-            for name in ("hinted", "hinted_exempt"):
+            for name in ("hinted", "hinted.b"):
                 touched = np.unique(np.concatenate([ids.ravel() for ids, _ in draw[name]]))
                 assert np.array_equal(new[name].grad_rows, touched)
-            for name in ("mixed", "mixed_rev", "dense", "dense_exempt"):
+            for name in ("mixed", "mixed_rev", "dense", "dense.gamma"):
                 assert new[name].grad_rows is None
 
             norm = clip_grads(new, max_norm)
@@ -217,7 +221,7 @@ def _embedded(weight, ids, g):
 
 
 def test_assigning_grad_drops_hint_and_whole_array_is_used():
-    with t.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(4)
         shape = (BLOCK // 32 + 3, 32)
         new = {"w": param(shape, np.random.default_rng(1))}
@@ -249,7 +253,7 @@ def test_dense_accum_after_embedding_drops_hint():
 
 
 def test_two_embedding_calls_sum_like_add_at():
-    with t.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(6)
         w = param((50, 4), rng)
         ids_a, ids_b = rng.integers(0, 20, size=(3, 7)), rng.integers(10, 40, size=11)
@@ -277,7 +281,7 @@ def test_two_embedding_calls_sum_like_add_at():
 def test_training_checkpoints_match_reference_update(tmp_path, monkeypatch, verify):
     """A micro run whose label table spans three blocks writes the same bytes
     with the reference update path patched in."""
-    with t.verify_mode(verify):
+    with verify_mode(verify):
         config, dataset, bundle = build_micro_problem(seed=5, num_labels=2100, n_docs=8)
         config = replace(config, embed_dim=64, epochs=3)
         assert 2 * BLOCK < 2100 * 64 < 3 * BLOCK

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from xmc import tensor as T
 from xmc.errors import ConfigError, ContractError, DimensionError, NumericError
 
+from helpers import verify_mode
+
 
 def fd_grad(f, x, h=1e-6):
     """Independent central-difference oracle for a scalar function of an array."""
@@ -50,7 +52,7 @@ def test_matmul_shape_error_mentions_both_shapes():
 
 
 def test_matmul_backward_matches_fd():
-    with T.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(0)
         a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
@@ -77,7 +79,7 @@ def test_sigmoid_values_and_stability():
 
 
 def test_sigmoid_gradient_at_zero():
-    with T.verify_mode():
+    with verify_mode():
         x = T.Tensor([0.0], requires_grad=True)
         with T.record() as tape:
             tape.backward(T.sum_all(T.sigmoid(x)))
@@ -161,7 +163,7 @@ def test_dropout_preserves_mean_large_sample():
     seed=st.integers(0, 10_000),
 )
 def test_random_graph_backward_matches_fd(rows, inner, cols, seed):
-    with T.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(seed)
         a = T.Tensor(rng.normal(size=(rows, inner)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(inner, cols)), requires_grad=True)
@@ -176,7 +178,7 @@ def test_random_graph_backward_matches_fd(rows, inner, cols, seed):
 
 
 def test_backward_determinism_bit_identical():
-    with T.verify_mode():
+    with verify_mode():
         def run():
             rng = np.random.default_rng(11)
             x = T.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
@@ -200,7 +202,7 @@ def test_backward_populates_each_param_once():
 
 
 def test_nan_check_raises_in_verify_mode():
-    with T.verify_mode():
+    with verify_mode():
         with pytest.raises(NumericError):
             T.Tensor([np.nan, 1.0])
 
@@ -211,7 +213,7 @@ def test_grad_check_requires_verify_mode():
 
 
 def test_grad_check_known_sigmoid_derivative():
-    with T.verify_mode():
+    with verify_mode():
         x = T.Tensor([0.0], requires_grad=True)
         err = T.grad_check(lambda: T.sum_all(T.sigmoid(x)), [x], h=1e-5)
         assert err < 1e-8
@@ -235,7 +237,7 @@ def test_softmax_rows_sum_to_one_and_masked_fill():
 def test_masked_softmax_backward_fd():
     """Masked key columns, broadcast over heads and queries, get no gradient,
     also in a fully masked row, whose softmax is uniform."""
-    with T.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(4)
         x = T.Tensor(rng.normal(size=(3, 2, 4, 5)), requires_grad=True)
         keep = np.array([[1, 1, 0, 1, 0], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]], dtype=bool)[:, None, None, :]
@@ -250,7 +252,7 @@ def test_masked_softmax_backward_fd():
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["2d", "3d"])
 def test_linear_backward_fd(shape):
-    with T.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(6)
         x = T.Tensor(rng.normal(size=shape), requires_grad=True)
         w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -270,7 +272,7 @@ def test_linear_shape_error_mentions_all_shapes():
 
 
 def test_layer_norm_backward_fd():
-    with T.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(7)
         x = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         g = T.Tensor(rng.normal(size=(5,)), requires_grad=True)
@@ -293,7 +295,7 @@ def test_embedding_scatter_locality():
 
 
 def test_take_concat_transpose_roundtrip_grads():
-    with T.verify_mode():
+    with verify_mode():
         rng = np.random.default_rng(9)
         x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         w = rng.normal(size=(2, 8))

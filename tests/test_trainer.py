@@ -25,7 +25,7 @@ from xmc.trainer import (
     train_step,
 )
 
-from helpers import corpus_datasets
+from helpers import corpus_datasets, verify_mode
 
 
 def micro_train_config(**overrides) -> TrainConfig:
@@ -141,7 +141,7 @@ def test_gradient_flow_separation():
 
 def test_encoder_cooperation_grads_add():
     # encoder grad under L_g + L_d equals sum of separate backward passes (64-bit)
-    with t.verify_mode():
+    with verify_mode():
         config, ds, bundle = micro_setup()
         batch = first_batch(ds, config)
         _, _, _, candidates = joint_losses(batch, bundle, b_top=2, training=False)
@@ -161,7 +161,7 @@ def test_encoder_cooperation_grads_add():
 
 
 def test_joint_micro_gradcheck():
-    with t.verify_mode():
+    with verify_mode():
         config, ds, bundle = micro_setup()
         batch = first_batch(ds, config)
         _, _, _, candidates = joint_losses(batch, bundle, b_top=2, training=False)
@@ -185,7 +185,7 @@ def test_synth64_step_gradient_layout_and_tape_size(verify):
     a gradient in another layout with equal values changes the clipped update
     and with it the checkpoint bytes.
     """
-    with t.verify_mode(verify):
+    with verify_mode(verify):
         config = apply_preset(TrainConfig(), "synth-64")
         sc = make_synthetic_corpus(n_train=64, n_test=8, seed=config.seed)
         train_ds, _, vocab = corpus_datasets(sc, max_len=config.max_len)
@@ -207,7 +207,7 @@ def test_nan_loss_aborts_with_diagnostic():
     from xmc.errors import TrainingError
 
     with pytest.raises(TrainingError, match="loss"):
-        with t.verify_mode(False):
+        with verify_mode(False):
             train_step(first_batch(ds, config), bundle, config, b_top=2)
 
 
@@ -286,20 +286,21 @@ def test_train_epochs_zero_returns_initial_bundle(tmp_path):
 
 def test_train_writes_per_epoch_checkpoints_and_metrics(tmp_path):
     train_ds, test_ds, _ = _tiny_synth()
-    config = micro_train_config(epochs=2, cluster_size=2, b_top=2, max_len=12, swa_start_epoch=1)
+    config = micro_train_config(epochs=3, cluster_size=2, b_top=2, max_len=12)
     bundle, metrics = train(train_ds, config, dev=test_ds, out_dir=tmp_path, log=lambda *_: None)
     assert (tmp_path / "epoch001.ckpt").exists()
     assert (tmp_path / "epoch002.ckpt").exists()
+    assert (tmp_path / "epoch003.ckpt").exists()
     assert (tmp_path / "final.ckpt").exists()
     lines = (tmp_path / "metrics.log").read_text().splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert "loss_g=" in lines[0] and "p1=" in lines[0] and "cluster_recall=" in lines[0]
-    assert len(metrics) == 2
-    assert bundle.swa.count == 2
+    assert len(metrics) == 3
+    assert bundle.swa.count == 2  # epochs 2 and 3
 
 
 def test_train_deterministic_checkpoints_byte_identical(tmp_path):
-    with t.verify_mode():
+    with verify_mode():
         train_ds, _, _ = _tiny_synth()
         config = micro_train_config(epochs=1, cluster_size=2, b_top=2, max_len=12)
         train(train_ds, config, out_dir=tmp_path / "a", log=lambda *_: None)
@@ -311,7 +312,7 @@ def test_train_deterministic_checkpoints_byte_identical(tmp_path):
 
 def test_swa_checkpoint_equals_running_mean(tmp_path):
     train_ds, _, _ = _tiny_synth()
-    config = micro_train_config(epochs=3, cluster_size=2, b_top=2, max_len=12, swa_start_epoch=2)
+    config = micro_train_config(epochs=3, cluster_size=2, b_top=2, max_len=12)
     bundle, _ = train(train_ds, config, out_dir=tmp_path, log=lambda *_: None)
     assert bundle.swa.count == 2  # epochs 2 and 3
     from xmc.checkpoint import load_checkpoint
@@ -334,7 +335,7 @@ def test_cluster_map_label_count_mismatch():
 
 def test_load_bundle_roundtrip(tmp_path):
     train_ds, _, _ = _tiny_synth()
-    config = micro_train_config(epochs=1, cluster_size=2, b_top=2, max_len=12, swa_start_epoch=1)
+    config = micro_train_config(epochs=1, cluster_size=2, b_top=2, max_len=12)
     bundle, _ = train(train_ds, config, out_dir=tmp_path, log=lambda *_: None)
     loaded = load_bundle(tmp_path / "final.ckpt", config, train_ds.vocab.size, bundle.cluster_map)
     for name in bundle.params:
