@@ -25,7 +25,7 @@ from .checkpoint import atomic_write
 from .cluster import ClusterMap, build_cluster_map, build_label_reps
 from .corpus import (Document, Vocab, XmcDataset, batch_iter, build_vocab, load_dataset, read_text, split_lines,
                      tokenize)
-from .encoder import encoder_grad_check
+from .encoder import encoder_grad_check, layers_concatenated
 from .errors import ConfigError, ParseError, UsageError, XmcError
 from .predict import BATCH_SIZE, check_prediction_args, evaluate, predict_batch
 from .synth import make_synthetic_corpus
@@ -47,9 +47,9 @@ USAGE_ERRORS = (UsageError, ConfigError, ParseError)
 # config plumbing
 
 
-def _read_config_file(path: Path) -> dict:
+def _read_config_file(path: Path, lines: dict | None = None) -> dict:
     """Typed overrides from key=value lines, or from the config block of a
-    previously written manifest."""
+    previously written manifest; ``lines`` gains each key's ``file:line``."""
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
     text = read_text(path)
@@ -84,6 +84,8 @@ def _read_config_file(path: Path) -> dict:
                     continue
             raise UsageError(f"{where}: {key}={value} is no longer supported; only {kept} loads")
         values[key] = _coerce(where, key, value)
+        if lines is not None:
+            lines[key] = where
     return values
 
 
@@ -169,10 +171,17 @@ def resolve_train_config(args) -> TrainConfig:
     the config file applies beneath that file's values, as --preset does."""
     flags = {name: _coerce(_flag(name), name, value)
              for name in _SCHEMA if (value := getattr(args, name)) is not None}
-    file_values = _read_config_file(Path(args.config)) if args.config else {}
+    where: dict[str, str] = {}
+    file_values = _read_config_file(Path(args.config), where) if args.config else {}
+    where.update((name, _flag(name)) for name in flags)
     preset = flags.get("preset") or file_values.get("preset")
     config = apply_preset(TrainConfig(), preset) if preset else TrainConfig()
-    return replace(config, **{**file_values, **flags})
+    config = replace(config, **{**file_values, **flags})
+    if config.hidden % config.n_heads:  # checked before any data is written
+        at = [where[name] for name in ("hidden", "n_heads") if name in where]  # presets divide
+        raise UsageError(f"{at[0]}: hidden {config.hidden} is not divisible by n_heads {config.n_heads}"
+                         + "".join(f" (set at {w})" for w in at[1:]))
+    return replace(config, concat_layers=layers_concatenated(config.concat_layers, config.n_layers))
 
 
 def _write_manifest(path: Path, command: str, config: TrainConfig | None, inputs: dict, artifacts: dict, seed: int) -> None:
@@ -254,7 +263,7 @@ def _load_run(ckpt_path: Path, b_top: int | None):
 def cmd_cluster(args) -> int:
     sparse = _require_file(args.sparse, "--sparse training file")
     out = Path(args.out)
-    seed = args.seed if args.seed is not None else TrainConfig.seed
+    seed = TrainConfig.seed if args.seed is None else _coerce("--seed", "seed", args.seed)
     dataset = load_dataset(sparse, split="train")
     reps = build_label_reps(dataset)
     cmap = build_cluster_map(reps, args.max_size, seed)
@@ -431,9 +440,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    seed = {} if args.seed is None else {"seed": _coerce("--seed", "seed", args.seed)}
     t.set_verify_mode(True)
     started = time.perf_counter()
-    seed = {} if args.seed is None else {"seed": args.seed}
     enc_err = encoder_grad_check(**seed)
     print(f"encoder grad check: max rel err {enc_err:.3e}")
     joint_err = micro_joint_grad_check(**seed)

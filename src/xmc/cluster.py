@@ -4,6 +4,10 @@ Labels are represented by the L2-normalized sum of the sparse features of
 the training documents that carry them, then recursively bisected with a
 balanced 2-means (cosine similarity) until every leaf holds at most ``s``
 labels.  Leaves become clusters, numbered in depth-first order, left first.
+Each node reads only its own entries of the (L, D) reps, on its columns
+renumbered to a compact range, as PECOS's hierarchical k-means does; every
+margin, centroid and seed cosine is summed in the order of scipy's products
+over all D columns, so the maps are those of that full-width build.
 
 Cluster sizes target the bound s/2 < size <= s.  Exact halving cannot
 always respect the lower bound (a node of 9 labels with s=8 can only split
@@ -132,50 +136,72 @@ def _stack(rows, values, width: int) -> sp.csr_array:
     return sp.csr_array((data, indices, indptr), shape=(len(rows), width))
 
 
-def _bisect(reps: sp.csr_array, rows: np.ndarray, left_size: int, rng: np.random.Generator):
-    """One balanced 2-means pass over ``rows``; the top ``left_size`` go left.
+def _seed_gram(cols: np.ndarray, data: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Gram matrix of ``k`` sparse rows (ascending column ids), +inf on and below the diagonal;
+    each pair sums its shared columns in ascending order from 0.0, as scipy's CSR product does."""
+    k = len(counts)
+    by_col = np.argsort(cols, kind="stable")  # rows stay ascending within a column
+    row, col, val = np.repeat(np.arange(k), counts)[by_col], cols[by_col], data[by_col]
+    # each entry pairs with the later entries of its column: the upper triangle only
+    later = np.searchsorted(col, col, side="right") - np.arange(len(col)) - 1
+    first = np.repeat(np.arange(len(col)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    sums = np.bincount(row[first] * k + row[second], val[first] * val[second], minlength=k * k)
+    gram = sums.reshape(k, k).astype(np.float64)  # int zeros if no pair shares a column
+    gram[np.tri(k, dtype=bool)] = np.inf
+    return gram
+
+
+def _bisect(reps: sp.csr_array, rows: np.ndarray, left_size: int, rng_key: list[int], scratch: np.ndarray):
+    """One balanced 2-means pass over ``rows`` (ascending); the top ``left_size`` go left.
 
     Ordering per iteration: non-zero reps first by cosine margin descending,
-    zero reps last, ties by ascending label id.
+    zero reps last, ties by ascending label id.  ``reps`` rows hold ascending
+    column ids; ``scratch`` holds D zeros, and holds them again on return.
     """
-    counts = reps.indptr[rows + 1] - reps.indptr[rows]
+    begin = reps.indptr[rows]
+    counts = reps.indptr[rows + 1] - begin
     is_zero = counts == 0
     nonzero = np.flatnonzero(~is_zero)
-    # without a seed pair every margin is 0
-    order = np.lexsort((rows, is_zero))
+    # without a seed pair every margin is 0; stable sorts break ties by label id
+    order = np.argsort(is_zero, kind="stable")
     if len(nonzero) >= 2:
-        sub = reps[rows]
-        n, dim = sub.shape
-        row_of = np.repeat(np.arange(n), counts)
+        offset = np.cumsum(counts) - counts  # row starts in the node's arrays
+        at = np.arange(offset[-1] + counts[-1]) + np.repeat(begin - offset, counts)  # its entries in reps, row by row
+        data, local = reps.data[at], reps.indices[at]
+        del at  # entry-length arrays set the build's peak memory: hold only those the loop reads
+        cols = np.unique(local)  # renumbered through ``scratch``, not by sorting the entries
+        scratch[cols] = np.arange(len(cols))
+        local, dim = scratch[local].astype(np.intp), len(cols)
+        scratch[cols] = 0.0
+        row_of = np.repeat(np.arange(len(rows)), counts)
         # seeds: the sampled pair with minimal mutual cosine, first in row-major order
         k = min(INIT_SAMPLE, len(nonzero))
-        sample = np.sort(rng.choice(nonzero, size=k, replace=False))
-        seeds = sub[sample]
-        gram = (seeds @ seeds.T).toarray()
-        gram[np.tri(k, dtype=bool)] = np.inf
-        a, b = divmod(int(np.argmin(gram)), k)
-        c_left, c_right = np.zeros(dim), np.zeros(dim)
-        for target, local in ((c_left, sample[a]), (c_right, sample[b])):
-            lo, hi = sub.indptr[local], sub.indptr[local + 1]
-            target[sub.indices[lo:hi]] = sub.data[lo:hi]
+        sample = np.sort(np.random.default_rng(rng_key).choice(nonzero, size=k, replace=False))
+        picked = np.isin(row_of, sample)
+        a, b = divmod(int(np.argmin(_seed_gram(local[picked], data[picked], counts[sample]))), k)
+        centroids = np.zeros((2, dim))
+        for target, r in zip(centroids, sample[[a, b]]):
+            span = slice(offset[r], offset[r] + counts[r])
+            target[local[span]] = data[span]
 
         prev = None
         for _ in range(MAX_ITERS):
-            order = np.lexsort((rows, -(sub @ (c_left - c_right)), is_zero))
-            in_left = np.zeros(n, dtype=bool)
+            margins = np.bincount(row_of, data * (centroids[0] - centroids[1])[local], minlength=len(rows))
+            order = np.lexsort((-margins, is_zero))
+            in_left = np.zeros(len(rows), dtype=bool)
             in_left[order[:left_size]] = True
             if prev is not None and np.array_equal(in_left, prev):
                 break
             prev = in_left
-            for target, side in ((c_left, in_left), (c_right, ~in_left)):
-                mask = side[row_of]
-                target[:] = np.bincount(sub.indices[mask], sub.data[mask], minlength=dim)
-                norm = np.sqrt((target**2).sum())
+            centroids = np.bincount(local + dim * ~in_left[row_of], data, minlength=2 * dim).reshape(2, dim)
+            for target in centroids:  # norms summed over D columns, in numpy's order for a dense centroid
+                scratch[cols] = target**2
+                norm = np.sqrt(scratch.sum())
+                scratch[cols] = 0.0
                 if norm > 0:
                     target /= norm
-    left = np.sort(rows[order[:left_size]])
-    right = np.sort(rows[order[left_size:]])
-    return left, right
+    return np.sort(rows[order[:left_size]]), np.sort(rows[order[left_size:]])
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +247,15 @@ def build_cluster_map(reps: sp.csr_array, s: int, seed: int) -> ClusterMap:
         return ClusterMap(np.arange(num_labels, dtype=np.int64), members, s, seed)
 
     leaves: list[np.ndarray] = []
-
-    def recurse(rows: np.ndarray, node_id: int) -> None:
+    scratch = np.zeros(reps.shape[1])  # _bisect's working row of width D, zero between nodes
+    stack = [(np.arange(num_labels, dtype=np.int64), 1)]  # (rows, node id), taken depth first, left first
+    while stack:
+        rows, node_id = stack.pop()
         if len(rows) <= s:
             leaves.append(rows)
-            return
-        rng = np.random.default_rng([seed, node_id])
-        left, right = _bisect(reps, rows, _choose_left_size(len(rows), s), rng)
-        recurse(left, 2 * node_id)
-        recurse(right, 2 * node_id + 1)
-
-    recurse(np.arange(num_labels, dtype=np.int64), 1)
+            continue
+        left, right = _bisect(reps, rows, _choose_left_size(len(rows), s), [seed, node_id], scratch)
+        stack += [(right, 2 * node_id + 1), (left, 2 * node_id)]
 
     assign = np.empty(num_labels, dtype=np.int64)
     for cid, labels in enumerate(leaves):

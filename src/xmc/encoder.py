@@ -37,14 +37,19 @@ class EncoderConfig:
             raise ConfigError(
                 f"hidden dim {self.hidden} not divisible by {self.n_heads} heads"
             )
-        # shallower stacks concatenate every layer they have
-        self.concat_layers = min(self.concat_layers, self.n_layers)
+        self.concat_layers = layers_concatenated(self.concat_layers, self.n_layers)
         if self.concat_layers < 1:
             raise ConfigError("need at least one layer to concatenate")
 
     @property
     def rep_width(self) -> int:
         return self.concat_layers * self.hidden
+
+
+def layers_concatenated(concat_layers: int, n_layers: int) -> int:
+    """The layers a stack of ``n_layers`` concatenates when asked for ``concat_layers``:
+    shallower stacks concatenate every layer they have."""
+    return min(concat_layers, n_layers)
 
 
 def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:

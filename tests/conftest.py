@@ -18,7 +18,9 @@ GOLDEN_CLUSTER_MAPS = Path(__file__).parent / "data" / "golden_cluster_maps.json
 @pytest.fixture(scope="session")
 def golden_cluster_maps():
     """sha256 of ``ClusterMap.save`` bytes, frozen from the dict-based clustering
-    that preceded the scipy.sparse label reps (same inputs, same seeds)."""
+    that preceded the scipy.sparse label reps (same inputs, same seeds);
+    ``zipf_s8_seed11`` from the full-width scipy build that preceded the
+    per-node one."""
     return json.loads(GOLDEN_CLUSTER_MAPS.read_text(encoding="utf-8"))
 
 

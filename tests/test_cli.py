@@ -86,6 +86,17 @@ def test_cluster_missing_file_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["cluster", "gradcheck"])
+def test_negative_seed_exit_2_naming_the_flag(tmp_path, corpus_files, capsys, command):
+    import xmc.tensor as t
+
+    extra = (["--sparse", str(corpus_files["train_sparse"]), "--max-size", "2", "--out", str(tmp_path / "m.txt")]
+             if command == "cluster" else [])
+    assert main([command, "--seed", "-1", *extra]) == 2
+    assert "--seed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not t.verify_enabled() and not (tmp_path / "m.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -225,6 +236,40 @@ def test_train_missing_out_dir_exit_2(corpus_files):
     code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
                  "--text", str(corpus_files["train_text"]), *TINY_FLAGS])
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_hidden_not_divisible_by_heads_exit_2_before_writing(tmp_path, capsys, source):
+    cfg = tmp_path / "dims.txt"
+    cfg.write_text("epochs=1\nhidden=10\nn_heads=3\n")
+    dims = ["--hidden", "10", "--heads", "3"] if source == "flags" else ["--config", str(cfg)]
+    out_dir = tmp_path / "rh"
+    assert main(["train", "--synth", "--preset", "synth-64", *dims, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    want = ("--hidden:", "(set at --heads)") if source == "flags" else (f"{cfg}:2:", f"(set at {cfg}:3)")
+    assert all(part in err for part in want), err
+    assert not out_dir.exists()
+
+
+def test_concat_layers_recorded_as_used(tmp_path, corpus_files):
+    """A 2-layer run asked for 9 concatenated layers uses, and records, 2; the
+    clamp changes no weight, and a manifest that still says 9 loads."""
+    base = ["train", "--sparse", str(corpus_files["train_sparse"]), "--text", str(corpus_files["train_text"]),
+            *TINY_FLAGS, "--epochs", "1"]
+    for concat in ("9", "2"):
+        assert main([*base, "--concat-layers", concat, "--out-dir", str(tmp_path / concat)]) == 0
+    manifest = json.loads((tmp_path / "9" / "manifest.json").read_text())
+    assert manifest["config"]["concat_layers"] == 2
+    assert (tmp_path / "9" / "final.ckpt").read_bytes() == (tmp_path / "2" / "final.ckpt").read_bytes()
+    manifest["config"]["concat_layers"] = 9  # as an older run recorded it
+    (tmp_path / "9" / "manifest.json").write_text(json.dumps(manifest))
+    preds = []
+    for run in ("9", "2"):
+        out = tmp_path / f"preds{run}.txt"
+        assert main(["predict", "--ckpt", str(tmp_path / run / "final.ckpt"),
+                     "--text", str(corpus_files["test_text"]), "--out", str(out)]) == 0
+        preds.append(out.read_bytes())
+    assert preds[0] == preds[1]
 
 
 # ---------------------------------------------------------------------------

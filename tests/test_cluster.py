@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmc.cluster import (
+    INIT_SAMPLE,
+    MAX_ITERS,
     ClusterMap,
+    _choose_left_size,
+    _seed_gram,
     bound_feasible,
     build_cluster_map,
     build_label_reps,
@@ -295,6 +299,155 @@ def test_synth_cluster_maps_match_golden(num_labels, n_train, golden_cluster_map
     train, _, _ = corpus_datasets(sc)
     cmap = build_cluster_map(build_label_reps(train), s=8, seed=7)
     assert cluster_map_digest(cmap) == golden_cluster_maps["synth_s8_seed7"][str(num_labels)]
+
+
+def _zipf_dataset(num_labels, n_docs, seed, exponent=0.8, block=64, fillers=50):
+    """Power-law labels in topic blocks of ``block``: topic and in-topic label
+    popularity fall as rank**-exponent, so a few labels carry many documents,
+    the tail few or none.  A document holds 1-3 labels of one topic; its
+    features are unit-norm counts of its topic word, one word per label (each
+    twice) and three fillers."""
+    rng = np.random.default_rng(seed)
+    num_topics = num_labels // block
+    topic_p = rng.permutation(np.arange(1, num_topics + 1) ** -exponent)
+    label_p = np.arange(1, block + 1) ** -exponent
+    docs = []
+    for i in range(n_docs):
+        topic = int(rng.choice(num_topics, p=topic_p / topic_p.sum()))
+        picks = rng.choice(block, size=int(rng.integers(1, 4)), replace=False, p=label_p / label_p.sum())
+        labels = tuple(sorted(int(topic * block + j) for j in picks))
+        words = [topic] * 2 + [num_topics + l for l in labels for _ in (0, 1)]
+        words += (num_topics + num_labels + rng.integers(fillers, size=3)).tolist()
+        idx, counts = np.unique(words, return_counts=True)
+        docs.append(Document(i, [1], labels, SparseVec(idx, counts / np.sqrt((counts**2.0).sum()))))
+    return XmcDataset(docs, num_labels=num_labels, feature_dim=num_topics + num_labels + fillers)
+
+
+def test_zipf_cluster_map_matches_golden(golden_cluster_maps, cluster_map_digest):
+    # about half the labels are unused: many nodes hold fewer than two non-empty reps
+    reps = build_label_reps(_zipf_dataset(num_labels=4096, n_docs=3000, seed=11))
+    cmap = build_cluster_map(reps, s=8, seed=11)
+    assert cluster_map_digest(cmap) == golden_cluster_maps["zipf_s8_seed11"]["4096"]
+
+
+# ---------------------------------------------------------------------------
+# the per-node build against scipy products over the whole (L, D) matrix
+
+
+def _reference_cluster_assign(reps, s, seed):
+    """The build as it ran before each node worked on its own columns: scipy
+    row slices and products over all D columns, dense centroids of width D."""
+    leaves = []
+
+    def recurse(rows, node_id):
+        if len(rows) <= s:
+            leaves.append(rows)
+            return
+        left_size = _choose_left_size(len(rows), s)
+        counts = reps.indptr[rows + 1] - reps.indptr[rows]
+        is_zero = counts == 0
+        nonzero = np.flatnonzero(~is_zero)
+        order = np.lexsort((rows, is_zero))
+        if len(nonzero) >= 2:
+            sub = reps[rows]
+            n, dim = sub.shape
+            row_of = np.repeat(np.arange(n), counts)
+            k = min(INIT_SAMPLE, len(nonzero))
+            sample = np.sort(np.random.default_rng([seed, node_id]).choice(nonzero, size=k, replace=False))
+            seeds = sub[sample]
+            gram = (seeds @ seeds.T).toarray()
+            gram[np.tri(k, dtype=bool)] = np.inf
+            a, b = divmod(int(np.argmin(gram)), k)
+            c_left, c_right = sub[[sample[a]]].toarray()[0], sub[[sample[b]]].toarray()[0]
+            prev = None
+            for _ in range(MAX_ITERS):
+                order = np.lexsort((rows, -(sub @ (c_left - c_right)), is_zero))
+                in_left = np.zeros(n, dtype=bool)
+                in_left[order[:left_size]] = True
+                if prev is not None and np.array_equal(in_left, prev):
+                    break
+                prev = in_left
+                for target, side in ((c_left, in_left), (c_right, ~in_left)):
+                    mask = side[row_of]
+                    target[:] = np.bincount(sub.indices[mask], sub.data[mask], minlength=dim)
+                    norm = np.sqrt((target**2).sum())
+                    if norm > 0:
+                        target /= norm
+        recurse(np.sort(rows[order[:left_size]]), 2 * node_id)
+        recurse(np.sort(rows[order[left_size:]]), 2 * node_id + 1)
+
+    recurse(np.arange(reps.shape[0]), 1)
+    assign = np.empty(reps.shape[0], dtype=np.int64)
+    for cid, labels in enumerate(leaves):
+        assign[labels] = cid
+    return assign
+
+
+@st.composite
+def _sparse_reps(draw, max_rows=120, max_dim=400):
+    """Unit-norm CSR reps with sorted columns: some empty rows, some rows that
+    share a block of columns (so seed pairs overlap), values of mixed sign."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    num_labels = draw(st.integers(2, max_rows))
+    dim = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(seed)
+    rows = []
+    shared = rng.choice(dim, size=min(dim, 4), replace=False)
+    for _ in range(num_labels):
+        if rng.random() < draw(st.sampled_from([0.0, 0.3])):
+            rows.append([])
+            continue
+        idx = rng.choice(dim, size=int(rng.integers(1, min(dim, 12) + 1)), replace=False)
+        if rng.random() < 0.5:
+            idx = np.union1d(idx, shared)
+        idx = np.sort(idx)
+        rows.append(list(zip(idx.tolist(), (rng.normal(size=len(idx)) * 10.0 ** rng.integers(-3, 3)).tolist())))
+    return _reps(rows, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reps=_sparse_reps(), s=st.integers(2, 16), seed=st.integers(0, 1000))
+def test_build_matches_full_width_reference(reps, s, seed):
+    assert np.array_equal(build_cluster_map(reps, s, seed).assign, _reference_cluster_assign(reps, s, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reps=_sparse_reps(), seed=st.integers(0, 2**32 - 1))
+def test_compact_margins_equal_scipy_matvec_bitwise(reps, seed):
+    # the node's margins: its entries summed per row in stored order from 0.0
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=reps.shape[1]) * 10.0 ** rng.integers(-3, 4, size=reps.shape[1])
+    cols, local = np.unique(reps.indices, return_inverse=True)
+    row_of = np.repeat(np.arange(reps.shape[0]), np.diff(reps.indptr))
+    compact = np.bincount(row_of, reps.data * x[cols][local], minlength=reps.shape[0])
+    assert np.array_equal(compact.view(np.int64), (reps @ x).view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 70000), nnz=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
+def test_scattered_norm_equals_dense_norm(dim, nnz, seed):
+    # a centroid on the node's columns, scattered into D zeros, sums as the dense (D,) centroid does
+    rng = np.random.default_rng(seed)
+    cols = np.sort(rng.choice(dim, size=min(dim, nnz), replace=False))
+    centroid = np.zeros(dim)
+    centroid[cols] = rng.normal(size=len(cols)) * 10.0 ** rng.integers(-4, 4, size=len(cols))
+    scratch = np.zeros(dim)
+    scratch[cols] = centroid[cols] ** 2
+    assert np.sqrt(scratch.sum()) == np.sqrt((centroid**2).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(reps=_sparse_reps(max_rows=INIT_SAMPLE, max_dim=60))
+def test_seed_gram_equals_scipy_product(reps):
+    rows = np.flatnonzero(np.diff(reps.indptr))
+    if len(rows) < 2:
+        return
+    seeds = reps[rows]
+    got = _seed_gram(seeds.indices.astype(np.int64), seeds.data, np.diff(seeds.indptr))
+    want = (seeds @ seeds.T).toarray()
+    upper = ~np.tri(len(rows), dtype=bool)
+    assert np.array_equal(got[upper].view(np.int64), want[upper].view(np.int64))
+    assert np.all(got[~upper] == np.inf)
 
 
 # ---------------------------------------------------------------------------
