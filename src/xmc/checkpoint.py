@@ -9,6 +9,7 @@ raw parameter name suffixed ``.swa``.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from pathlib import Path
@@ -53,30 +54,39 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
             fh.write(arr.reshape(-1).data)
 
 
+def _read(fh, n: int, path, size: int) -> bytes:
+    """The next ``n`` bytes of ``fh``, checked against the file's ``size``
+    first, so a damaged length allocates nothing."""
+    pos = fh.tell()
+    if pos + n > size:
+        raise ParseError(f"{path}: truncated checkpoint record at byte {pos}")
+    return fh.read(n)
+
+
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise ParseError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
+    """Every record of a checkpoint, each read from the file straight into its
+    own array; a short or damaged record is a ParseError naming its byte."""
     out: dict[str, np.ndarray] = {}
-    pos = 8
-    while pos < len(blob):
-        try:
-            (name_len,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            name = blob[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            (ndim,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-            pos += 4 * ndim
-            count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(shape)
-            pos += 4 * count
-        except (struct.error, ValueError) as exc:
-            raise ParseError(f"{path}: truncated checkpoint record at byte {pos}") from exc
-        out[name] = arr.copy()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise ParseError(f"{path}: not a checkpoint (bad magic {magic!r})")
+        (version,) = struct.unpack("<I", _read(fh, 4, path, size))
+        if version != FORMAT_VERSION:
+            raise ParseError(f"{path}: unsupported checkpoint version {version}")
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<I", _read(fh, 4, path, size))
+            pos = fh.tell()
+            try:
+                name = _read(fh, name_len, path, size).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: truncated checkpoint record at byte {pos}") from exc
+            (ndim,) = struct.unpack("<I", _read(fh, 4, path, size))
+            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, size))
+            pos = fh.tell()
+            if pos + 4 * math.prod(shape) > size:  # checked before the array is allocated
+                raise ParseError(f"{path}: truncated checkpoint record at byte {pos}")
+            out[name] = np.empty(shape, dtype="<f4")
+            fh.readinto(out[name])
     return out

@@ -51,15 +51,24 @@ class ClusterMap:
         return len(self.assign)
 
     def validate(self) -> None:
+        """Raise on the first cluster, in id order, that is empty, not sorted
+        and unique, or at odds with ``assign``, in that order of checks; then
+        if some label is in no cluster."""
+        sizes = np.array([len(labels) for labels in self.members], dtype=np.int64)
+        labels = np.concatenate([np.empty(0, np.int64), *self.members])
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        unsorted = owner[1:][(np.diff(labels) <= 0) & (owner[1:] == owner[:-1])]
+        failures = (
+            (np.flatnonzero(sizes == 0), "cluster {} is empty"),
+            (unsorted, "cluster {} members not sorted/unique"),
+            (owner[self.assign[labels] != owner], "assign/members disagree for cluster {}"),
+        )
+        first = min((int(cids.min()) for cids, _ in failures if cids.size), default=None)
+        for cids, message in failures:
+            if first is not None and first in cids:
+                raise ContractError(message.format(first))
         seen = np.zeros(self.num_labels, dtype=bool)
-        for cid, labels in enumerate(self.members):
-            if len(labels) == 0:
-                raise ContractError(f"cluster {cid} is empty")
-            if np.any(np.diff(labels) <= 0):
-                raise ContractError(f"cluster {cid} members not sorted/unique")
-            if np.any(self.assign[labels] != cid):
-                raise ContractError(f"assign/members disagree for cluster {cid}")
-            seen[labels] = True
+        seen[labels] = True
         if not seen.all():
             raise ContractError("some label belongs to no cluster")
 
@@ -121,11 +130,26 @@ def build_label_reps(dataset: XmcDataset) -> sp.csr_array:
     y = _stack([doc.labels for doc in docs], None, dataset.num_labels)
     reps = (y.T.tocsr() @ x).real
     reps.sort_indices()
-    bounds = zip(reps.indptr[:-1], reps.indptr[1:])
-    norms = np.array([np.sqrt((reps.data[a:b] ** 2).sum()) for a, b in bounds])
+    norms = _row_norms(reps)
     norms[norms == 0] = 1.0
     reps.data = reps.data / np.repeat(norms, np.diff(reps.indptr))
     return reps
+
+
+def _row_norms(reps: sp.csr_array) -> np.ndarray:
+    """Each row's ``np.sqrt((row ** 2).sum())``, bit for bit: rows with the same
+    number of entries are gathered as one (k, n) block, whose ``.sum(axis=1)``
+    sums every row in the order its own ``.sum()`` does."""
+    counts = np.diff(reps.indptr)
+    squares = reps.data**2
+    norms = np.zeros(len(counts))
+    order = np.argsort(counts, kind="stable")
+    edges = np.flatnonzero(np.diff(counts[order], prepend=-1, append=-1))
+    for a, b in zip(edges[:-1], edges[1:]):
+        rows, n = order[a:b], counts[order[a]]
+        if n:
+            norms[rows] = np.sqrt(squares[reps.indptr[rows, None] + np.arange(n)].sum(axis=1))
+    return norms
 
 
 def _stack(rows, values, width: int) -> sp.csr_array:

@@ -22,13 +22,20 @@ def is_decay_exempt(name: str) -> bool:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter Adam moments plus the step size and decoupled decay."""
+    """Per-parameter Adam moments plus the step size and decoupled decay.
+
+    ``live`` holds, for a parameter of more than BLOCK elements whose
+    gradients have all carried a ``grad_rows`` hint since its moments were
+    created, the sorted union of those hints: outside it both moments are
+    exactly +0.0.  None, or no entry, means any row may have moved.
+    """
 
     learning_rate: float
     weight_decay: float
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    live: dict[str, np.ndarray | None] = field(default_factory=dict)
 
 
 # Elements per block of the streamed updates: 64 Ki float32 values are
@@ -77,7 +84,12 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     order, so the result is identical.  Where its gradient's ``grad_rows``
     hint is set, only those rows add gradient terms to the moments: on the
     other rows the gradient is zero, and adding its terms would change at
-    most the sign of a zero moment.  Smaller parameters are updated whole,
+    most the sign of a zero moment.  A row outside every hint since the
+    moments were created (``state.live``) has m = v = +0.0, so its whole
+    update is the decay ``p *= shrink``: the step term is exactly +0.0, and
+    p - (+0.0) is p.  While ``state.live`` holds a row set, each block gets
+    the decay on every row and the rest of the update on its live rows
+    alone, gathered into scratch.  Smaller parameters are updated whole,
     with numpy's own temporaries, which cost no more than scratch views.
     """
     for name, p in params.items():
@@ -91,21 +103,21 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     bc2 = 1.0 - BETA2**t
     lr = state.learning_rate
     shrink = 1.0 - lr * state.weight_decay
-    scratch = _Scratch(2)
+    scratch = _Scratch(5)
 
-    def update(p, g, m, v, touched, decay, s1=None, s2=None):
+    def update(p, m, v, g, rows, decay, s1=None, s2=None):
+        # g is the whole gradient, or the gradient of ``rows`` when they are given
         # m = m*b1 + (1-b1)*g;  v = v*b2 + ((1-b2)*g)*g
         m *= BETA1
         v *= BETA2
-        if touched is None:
+        if rows is None:
             m += np.multiply(g, c1, out=s1)
             s1 = np.multiply(g, c2, out=s1)
             s1 *= g
             v += s1
-        elif touched.size:
-            gt = g[touched]
-            m[touched] += c1 * gt
-            v[touched] += c2 * gt * gt
+        elif rows.size:
+            m[rows] += c1 * g
+            v[rows] += c2 * g * g
         if decay:
             p *= shrink
         # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
@@ -121,24 +133,80 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
+            if p.data.size > BLOCK:
+                state.live[name] = np.empty(0, dtype=np.int64)  # no row has moved yet
+        v = state.v[name]
         decay = state.weight_decay != 0.0 and not is_decay_exempt(name)
         if p.data.size <= BLOCK:
-            update(p.data, p.grad, m, state.v[name], None, decay)
+            update(p.data, m, v, p.grad, None, decay)
             continue
         hint = p.grad_rows
-        for start, (pb, gb, mb, vb) in _blocks(p.data, p.grad, m, state.v[name]):
-            touched = None
+        live = state.live.get(name)
+        if live is not None:  # a dense gradient may move every row, from now on
+            live = state.live[name] = None if hint is None else np.union1d(live, hint)
+        for start, (pb, gb, mb, vb) in _blocks(p.data, p.grad, m, v):
+            end = start + len(pb)
+            rows = None
             if hint is not None:
-                lo, hi = np.searchsorted(hint, (start, start + len(pb)))
-                touched = hint[lo:hi] - start
-            update(pb, gb, mb, vb, touched, decay, *scratch.like(pb))
+                lo, hi = np.searchsorted(hint, (start, end))
+                rows = hint[lo:hi] - start
+                gb = gb[rows]
+            kept = None
+            if live is not None:
+                lo, hi = np.searchsorted(live, (start, end))
+                kept = live[lo:hi] - start
+            if kept is None:
+                update(pb, mb, vb, gb, rows, decay, *scratch.like(pb)[:2])
+                continue
+            if decay:
+                pb *= shrink
+            if not kept.size:
+                continue
+            sub = scratch.like(pb[: kept.size])
+            for whole, part in zip((pb, mb, vb), sub):
+                np.take(whole, kept, axis=0, out=part, mode="clip")
+            update(*sub[:3], gb, np.searchsorted(kept, rows), False, *sub[3:])
+            for whole, part in zip((pb, mb, vb), sub):
+                whole[kept] = part
+
+
+def _square_sum(g: np.ndarray, lo: int, n: int, rows: np.ndarray | None, width: int, scratch: _Scratch):
+    """The sum of squares of ``g[lo : lo + n]`` as numpy's pairwise sum forms it.
+
+    numpy sums a contiguous run of more than 128 values as the sum of its
+    first ``n2 = n//2 - (n//2 % 8)`` values plus the sum of the rest, so a
+    node of at most BLOCK values is one ``.sum()`` of its squares in
+    scratch, and larger nodes split where numpy splits them.  A node that
+    holds none of the hinted ``rows`` (each ``width`` values long) is all
+    zeros and adds an exact +0.0, so it is skipped.  A module-level function,
+    not a nested closure, so no reference cycle keeps ``g`` alive.
+    """
+    if rows is not None:
+        first, last = np.searchsorted(rows, (lo // width, (lo + n + width - 1) // width))
+        if first == last:
+            return g.dtype.type(0.0)
+    if n <= BLOCK:
+        part = g[lo : lo + n]
+        (sq,) = scratch.like(part)
+        return np.multiply(part, part, out=sq).sum()
+    half = n // 2
+    half -= half % 8
+    return _square_sum(g, lo, half, rows, width, scratch) + _square_sum(g, lo + half, n - half, rows, width, scratch)
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:
+    """sqrt of the sum over gradients of ``float((g * g).sum())``, bit for bit,
+    with no ``g * g`` temporary larger than BLOCK values."""
     total = 0.0
+    scratch = _Scratch(1)
     for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+        g = p.grad
+        if g is None:
+            continue
+        if g.size <= BLOCK or not g.flags.c_contiguous:
+            total += float((g * g).sum())
+        else:
+            total += float(_square_sum(g.reshape(-1), 0, g.size, p.grad_rows, g.size // len(g), scratch))
     return float(np.sqrt(total))
 
 

@@ -55,15 +55,20 @@ class Tensor:
     None, ``grad`` is zero outside those sorted rows of the first axis, so
     clipping and the optimizer may skip the rest.  Only the embedding backward
     sets it; assigning ``grad`` or accumulating a dense gradient drops it.
+
+    :meth:`clear_grad` drops the gradient but keeps its buffer, which the next
+    accumulation reuses: a dense gradient overwrites it whole, and a
+    row-hinted one zeroes only the rows the last hint named.
     """
 
-    __slots__ = ("data", "_grad", "grad_rows", "requires_grad")
+    __slots__ = ("data", "_grad", "grad_rows", "requires_grad", "_spare")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_dtype)
         self.requires_grad = requires_grad
         self._grad: np.ndarray | None = None
         self.grad_rows: np.ndarray | None = None
+        self._spare: tuple[np.ndarray, np.ndarray | None] | None = None  # a cleared buffer and its hint
         if _nan_check and not np.all(np.isfinite(self.data)):
             raise NumericError("non-finite value in tensor")
 
@@ -87,11 +92,33 @@ class Tensor:
     def grad(self, value: np.ndarray | None) -> None:
         self._grad = value
         self.grad_rows = None
+        self._spare = None
+
+    def clear_grad(self) -> None:
+        """Set ``grad`` to None and keep its buffer for the next accumulation."""
+        if self._grad is not None:
+            self._spare = (self._grad, self.grad_rows)
+        self._grad = None
+        self.grad_rows = None
+
+    def _buffer(self, zeroed: bool) -> np.ndarray:
+        """A gradient buffer in data's layout and dtype: the cleared one when it
+        still fits ``data`` (verify mode and checkpoint loads swap ``data``)."""
+        spare, self._spare = self._spare, None
+        if spare is None or spare[0].shape != self.data.shape or spare[0].dtype != self.data.dtype:
+            return np.zeros_like(self.data) if zeroed else np.empty_like(self.data)
+        buf, rows = spare
+        if zeroed:
+            if rows is None:
+                buf.fill(0.0)
+            else:
+                buf[rows] = 0.0
+        return buf
 
     def _accum(self, g: np.ndarray) -> None:
         if self._grad is None:
             # zeros + g in one pass: data's layout and dtype, and -0.0 becomes +0.0
-            self._grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            self._grad = np.add(g, 0.0, out=self._buffer(zeroed=False))
         else:
             self._grad += g
         self.grad_rows = None
@@ -99,7 +126,7 @@ class Tensor:
     def _accum_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Add ``values`` to the sorted, distinct ``rows`` of the gradient."""
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
+            self._grad = self._buffer(zeroed=True)
             self.grad_rows = rows
         elif self.grad_rows is not None:
             self.grad_rows = np.union1d(self.grad_rows, rows)

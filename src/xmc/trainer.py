@@ -229,7 +229,7 @@ def train_step(
 ) -> tuple[float, float]:
     """One optimizer step on L = L_g + L_d; returns the two loss values."""
     for p in bundle.params.values():
-        p.grad = None
+        p.clear_grad()
     candidates = [cache[i] for i in batch.doc_indices] if cache is not None else None
     with t.record() as tape:
         total, loss_g, loss_d, _ = joint_losses(
@@ -415,11 +415,11 @@ def load_bundle(ckpt_path: str | Path, config: TrainConfig, vocab_size: int, clu
                 f"checkpoint {ckpt_path}: shape mismatch for {name}: "
                 f"{arr.shape} vs expected {bundle.params[name].shape}"
             )
-        bundle.params[name].data = arr.astype(t.default_dtype())
+        bundle.params[name].data = arr.astype(t.default_dtype(), copy=False)
     swa_records = {n[: -len(".swa")]: a for n, a in stored.items() if n.endswith(".swa")}
     if swa_records:
         if set(swa_records) != set(bundle.params):
             raise ConfigError(f"checkpoint {ckpt_path}: incomplete SWA record set")
-        bundle.swa.average = {n: a.astype(t.default_dtype()) for n, a in swa_records.items()}
+        bundle.swa.average = {n: a.astype(t.default_dtype(), copy=False) for n, a in swa_records.items()}
         bundle.swa.count = 1
     return bundle

@@ -13,6 +13,7 @@ from xmc.cluster import (
     MAX_ITERS,
     ClusterMap,
     _choose_left_size,
+    _row_norms,
     _seed_gram,
     bound_feasible,
     build_cluster_map,
@@ -150,6 +151,20 @@ def test_label_reps_bit_identical_to_dict_reference():
             assert got_val.tobytes() == val.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_row_norms_equal_per_row_sums_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    # many rows share a count; lengths cross numpy's 8-lane and 128-value sum blocks
+    counts = rng.choice([0, 1, 7, 8, 9, 127, 128, 129, 300, 1031], size=400)
+    counts[: int(rng.integers(1, 20))] = int(rng.integers(0, 2000))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    data = rng.normal(size=indptr[-1]) * 10.0 ** rng.integers(-5, 5, size=indptr[-1])
+    indices = np.concatenate([np.sort(rng.choice(2000, size=n, replace=False)) for n in counts])
+    reps = sp.csr_array((data, indices, indptr), shape=(len(counts), 2000))
+    expected = np.array([np.sqrt((data[a:b] ** 2).sum()) for a, b in zip(indptr[:-1], indptr[1:])])
+    assert _row_norms(reps).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # balanced 2-means: build_cluster_map with s = ceil(L/2) bisects the root
 # once; members[0] is its left side and members[1] its right side
@@ -272,6 +287,57 @@ def test_block_structure_recovered():
                 total += 1
                 same += int(cmap.assign[a] == cmap.assign[b])
     assert same / total >= 0.95
+
+
+def _valid_map():
+    members = [np.array([0, 3]), np.array([1, 4]), np.array([2, 5])]
+    return ClusterMap(np.array([0, 1, 2, 0, 1, 2]), members, s=2, seed=0)
+
+
+def _broken(kind: str, cid: int, cmap: ClusterMap) -> ClusterMap:
+    members = [m.copy() for m in cmap.members]
+    assign = cmap.assign.copy()
+    if kind == "empty":
+        assign[members[cid]] = (cid + 1) % len(members)
+        members[(cid + 1) % len(members)] = np.sort(np.concatenate([members[(cid + 1) % len(members)], members[cid]]))
+        members[cid] = np.empty(0, dtype=np.int64)
+    elif kind == "unsorted":
+        members[cid] = members[cid][::-1].copy()
+    elif kind == "disagree":
+        assign[members[cid][0]] = (cid + 1) % len(members)
+    return ClusterMap(assign, members, cmap.s, cmap.seed)
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("empty", "cluster {} is empty"),
+        ("unsorted", "cluster {} members not sorted/unique"),
+        ("disagree", "assign/members disagree for cluster {}"),
+    ],
+)
+@pytest.mark.parametrize("cid", [0, 2])
+def test_validate_names_the_first_bad_cluster(kind, message, cid):
+    _valid_map().validate()
+    with pytest.raises(ContractError, match=f"^{message.format(cid)}$"):
+        _broken(kind, cid, _valid_map()).validate()
+
+
+def test_validate_checks_clusters_in_id_order_then_each_cluster_in_check_order():
+    # cluster 1 is unsorted and disagrees with assign; cluster 2 is empty
+    cmap = _broken("disagree", 1, _broken("unsorted", 1, _broken("empty", 2, _valid_map())))
+    with pytest.raises(ContractError, match="^cluster 1 members not sorted/unique$"):
+        cmap.validate()
+    # a repeated label is not unique
+    members = [np.array([0, 0]), np.array([1, 2])]
+    with pytest.raises(ContractError, match="^cluster 0 members not sorted/unique$"):
+        ClusterMap(np.array([0, 1, 1]), members, s=2, seed=0).validate()
+
+
+def test_validate_finds_a_label_in_no_cluster():
+    members = [np.array([0, 1]), np.array([3])]
+    with pytest.raises(ContractError, match="^some label belongs to no cluster$"):
+        ClusterMap(np.array([0, 0, 1, 1]), members, s=2, seed=0).validate()
 
 
 def test_cluster_map_save_load_roundtrip(tmp_path):

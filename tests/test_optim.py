@@ -239,3 +239,37 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
         save_checkpoint(path, {"a": np.zeros(1000), "b": np.array(["not a number"])})
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_truncated_record_names_its_byte(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"ab": np.arange(6.0).reshape(2, 3), "c": np.ones(2)})
+    blob = path.read_bytes()
+    # record "ab" starts at byte 8: name length, name at 12, rank at 14, dims at 18, values at 26
+    for cut, byte in [(4, 4), (10, 8), (13, 12), (16, 14), (22, 18), (30, 26), (49, 26), (52, 50), (60, 59)]:
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ParseError, match=f"truncated checkpoint record at byte {byte}$"):
+            load_checkpoint(path)
+    path.write_bytes(blob)
+    loaded = load_checkpoint(path)
+    assert loaded["ab"].flags.owndata and loaded["ab"].flags.writeable
+    assert np.array_equal(loaded["ab"], np.arange(6.0).reshape(2, 3))
+
+
+HUGE = 2**32 - 1
+
+
+@pytest.mark.parametrize(
+    "record, byte",
+    [
+        (struct.pack("<I", HUGE) + b"w", 12),  # name length
+        (struct.pack("<I", 1) + b"w" + struct.pack("<I", HUGE), 17),  # rank
+        (struct.pack("<I", 1) + b"w" + struct.pack("<III", 2, HUGE, HUGE), 25),  # dims
+    ],
+    ids=["name", "rank", "dims"],
+)
+def test_checkpoint_oversized_length_is_refused_before_reading(tmp_path, record, byte):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION) + record + b"\0" * 4)
+    with pytest.raises(ParseError, match=f"truncated checkpoint record at byte {byte}$"):
+        load_checkpoint(path)

@@ -9,6 +9,7 @@ floating-point operations on every element, so params, moments, gradients
 and SWA averages must be equal, not merely close, in both numeric modes.
 """
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +17,12 @@ import pytest
 
 import xmc.trainer
 from xmc import tensor as t
+from xmc.corpus import batch_iter
 from xmc.optim import (
-    BETA1, BETA2, BLOCK, EPS, OptimizerState, SwaState, adamw_step, clip_grads, is_decay_exempt, swa_update,
+    BETA1, BETA2, BLOCK, EPS, OptimizerState, SwaState, _Scratch, _square_sum, adamw_step, clip_grads,
+    global_grad_norm, is_decay_exempt, swa_update,
 )
-from xmc.trainer import build_micro_problem, train
+from xmc.trainer import build_micro_problem, init_bundle, train, train_step
 
 from helpers import param, verify_mode
 
@@ -271,6 +274,153 @@ def test_two_embedding_calls_sum_like_add_at():
         expected += second
         _assert_equal(w.grad, expected, "grad")
         assert np.array_equal(w.grad_rows, np.union1d(ids_a, ids_b))
+
+
+# ---------------------------------------------------------------------------
+# the norm without a temporary
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hint", ["empty", "partial", "full", "none"])
+def test_square_sum_equals_numpy_pairwise_sum(dtype, hint):
+    rng = np.random.default_rng(len(hint) + np.dtype(dtype).itemsize)
+    for _ in range(12):
+        # widths that are not multiples of 8; lengths from one element to a few blocks
+        width = int(rng.choice([1, 3, 37, 129]))
+        rows = int(rng.integers(1, 5 * BLOCK // width))
+        g = (rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))).astype(dtype)
+        if hint == "none":
+            kept = None
+        else:
+            count = {"empty": 0, "partial": int(rng.integers(1, rows + 1)), "full": rows}[hint]
+            kept = np.sort(rng.choice(rows, size=count, replace=False))
+            off = np.ones(rows, dtype=bool)
+            off[kept] = False
+            g[off] = 0.0
+        expected = (g * g).sum()
+        got = _square_sum(g.reshape(-1), 0, g.size, kept, width, _Scratch(1))
+        assert got.dtype == expected.dtype and got == expected, (rows, width)
+        w = t.Tensor(g, requires_grad=True)
+        w.grad = g
+        w.grad_rows = kept
+        assert global_grad_norm({"w": w}) == float(np.sqrt(float(expected)))
+
+
+# ---------------------------------------------------------------------------
+# rows that never moved
+
+
+def test_dormant_rows_keep_zero_moments_until_a_dense_gradient():
+    shape = (2100, 96)  # three blocks and a part
+    assert 3 * BLOCK < shape[0] * shape[1]
+    rng = np.random.default_rng(8)
+    new = {"w": param(shape, np.random.default_rng(1))}
+    ref = {"w": param(shape, np.random.default_rng(1))}
+    new_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1)
+    ref_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1)
+    moved = np.empty(0, dtype=np.int64)
+    for step in range(4):
+        ids = rng.integers(0, shape[0], size=40)
+        g = rng.normal(size=(40, shape[1]))
+        dense = step == 3
+        for params, embed in ((new, t.embedding), (ref, _reference_embedding)):
+            params["w"].clear_grad()
+            with t.record() as tape:
+                loss = t.sum_all(t.mul(embed(params["w"], ids), t.constant(g)))
+                if dense:
+                    loss = t.add(loss, t.sum_all(t.mul(params["w"], t.constant(np.ones(shape)))))
+                tape.backward(loss)
+        adamw_step(new, new_opt)
+        _reference_adamw_step(ref, ref_opt)
+        for got, want in ((new["w"].data, ref["w"].data), (new_opt.m["w"], ref_opt.m["w"]),
+                          (new_opt.v["w"], ref_opt.v["w"])):
+            _assert_equal(got, want, f"step {step}")
+        if dense:
+            assert new_opt.live["w"] is None  # every row may now carry a moment
+            break
+        moved = np.union1d(moved, ids)
+        assert np.array_equal(new_opt.live["w"], moved)
+        dormant = np.setdiff1d(np.arange(shape[0]), moved)
+        assert dormant.size > BLOCK // shape[1]  # the dormant rows span more than a block
+        for moment in (new_opt.m["w"], new_opt.v["w"]):
+            assert np.all(moment[dormant] == 0.0) and not np.any(np.signbit(moment[dormant]))
+    # hinted gradients after the dense one keep every row live
+    new["w"].clear_grad()
+    _embedded(new["w"], np.array([1, 2]), np.ones((2, shape[1])))
+    adamw_step(new, new_opt)
+    assert new_opt.live["w"] is None
+
+
+def test_fully_live_and_empty_blocks_match_reference():
+    shape = (2100, 96)  # blocks of 682 rows: 0-681, 682-1363, 1364-2045, 2046-2099
+    rng = np.random.default_rng(9)
+    new = {"w": param(shape, np.random.default_rng(1))}
+    ref = {"w": param(shape, np.random.default_rng(1))}
+    new_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1)
+    ref_opt = OptimizerState(learning_rate=1e-2, weight_decay=0.1)
+    # the first block ends up wholly live; the last two blocks never move
+    for ids in (np.arange(0, 700), np.array([5, 681, 1000]), np.array([3, 3, 700])):
+        g = rng.normal(size=(len(ids), shape[1]))
+        for params in (new, ref):
+            params["w"].clear_grad()
+        _embedded(new["w"], ids, g)
+        with t.record() as tape:
+            tape.backward(t.sum_all(t.mul(_reference_embedding(ref["w"], ids), t.constant(g))))
+        adamw_step(new, new_opt)
+        _reference_adamw_step(ref, ref_opt)
+        for got, want in ((new["w"].data, ref["w"].data), (new_opt.m["w"], ref_opt.m["w"]),
+                          (new_opt.v["w"], ref_opt.v["w"])):
+            _assert_equal(got, want, f"ids {ids[:3]}")
+    assert np.array_equal(new_opt.live["w"], np.union1d(np.arange(0, 701), [1000]))
+
+
+# ---------------------------------------------------------------------------
+# gradient buffers across train steps
+
+
+def _micro_bundle():
+    config, dataset, bundle = build_micro_problem(seed=5, num_labels=2100, n_docs=8)
+    config = replace(config, embed_dim=64)
+    return config, dataset, init_bundle(config, dataset.vocab.size, bundle.cluster_map)
+
+
+def test_label_gradient_buffer_persists_and_is_zero_off_hint():
+    config, dataset, bundle = _micro_bundle()
+    emb = bundle.params["discriminator.E"]
+    buffers = []
+    for batch in list(batch_iter(dataset, config.batch_size, seed=1, epoch=1))[:3]:
+        train_step(batch, bundle, config, b_top=config.b_top)
+        assert emb.grad_rows is not None and emb.grad_rows.size
+        off = np.ones(len(emb.data), dtype=bool)
+        off[emb.grad_rows] = False
+        assert np.all(emb.grad[off] == 0.0)
+        buffers.append(emb.grad)
+    assert buffers[0] is buffers[1] is buffers[2]
+
+
+def test_cleared_buffer_is_not_reused_for_other_data():
+    w = param((6, 3), np.random.default_rng(2))
+    _embedded(w, np.array([1, 4]), np.ones((2, 3)))
+    old = w.grad
+    w.clear_grad()
+    assert w.grad is None and w.grad_rows is None
+    w.data = np.zeros((6, 3), dtype=np.float64 if w.data.dtype == np.float32 else np.float32)
+    _embedded(w, np.array([2]), np.ones((1, 3)))
+    assert w.grad is not old and w.grad.dtype == w.data.dtype
+    assert np.array_equal(w.grad[:, 0], [0, 0, 1, 0, 0, 0])
+
+
+def test_train_step_leaves_no_reference_cycles():
+    config, dataset, bundle = _micro_bundle()
+    batches = list(batch_iter(dataset, config.batch_size, seed=1, epoch=1))[:2]
+    gc.collect()
+    gc.disable()
+    try:
+        for batch in batches:
+            train_step(batch, bundle, config, b_top=config.b_top)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
