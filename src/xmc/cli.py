@@ -19,6 +19,8 @@ import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import tensor as t
 from .checkpoint import atomic_write
@@ -261,12 +263,13 @@ def _load_run(ckpt_path: Path, b_top: int | None):
 
 
 def cmd_cluster(args) -> int:
+    seed = TrainConfig.seed if args.seed is None else _coerce("--seed", "seed", args.seed)
+    max_size = _coerce("--max-size", "cluster_size", args.max_size)
     sparse = _require_file(args.sparse, "--sparse training file")
     out = Path(args.out)
-    seed = TrainConfig.seed if args.seed is None else _coerce("--seed", "seed", args.seed)
     dataset = load_dataset(sparse, split="train")
     reps = build_label_reps(dataset)
-    cmap = build_cluster_map(reps, args.max_size, seed)
+    cmap = build_cluster_map(reps, max_size, seed)
     cmap.save(out)
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
@@ -276,9 +279,9 @@ def cmd_cluster(args) -> int:
         {"clusters": out},
         seed,
     )
-    sizes = [len(m) for m in cmap.members]
+    sizes = np.bincount(cmap.assign)
     print(f"clusters={cmap.num_clusters} labels={cmap.num_labels} "
-          f"size_min={min(sizes)} size_max={max(sizes)} out={out}")
+          f"size_min={sizes.min()} size_max={sizes.max()} out={out}")
     return 0
 
 

@@ -20,6 +20,7 @@ partition of L into (s/2, s] parts exists at all (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,42 +36,30 @@ INIT_SAMPLE = 32
 
 @dataclass
 class ClusterMap:
-    """Label -> cluster assignment and its exact inverse."""
+    """Label -> cluster assignment, the map's one store; every id in [0, K) is used."""
 
     assign: np.ndarray  # (L,) int64
-    members: list[np.ndarray]  # cluster id -> sorted label ids
     s: int
     seed: int
 
-    @property
-    def num_clusters(self) -> int:
-        return len(self.members)
+    def __post_init__(self) -> None:
+        self.assign = np.asarray(self.assign, dtype=np.int64)
+        if self.assign.min(initial=0) < 0:
+            raise ContractError(f"cluster id {self.assign.min()} is negative")
+        sizes = np.bincount(self.assign)
+        if not sizes.all():
+            raise ContractError(f"cluster {np.argmin(sizes)} is empty")
+        self.num_clusters = len(sizes)
 
     @property
     def num_labels(self) -> int:
         return len(self.assign)
 
-    def validate(self) -> None:
-        """Raise on the first cluster, in id order, that is empty, not sorted
-        and unique, or at odds with ``assign``, in that order of checks; then
-        if some label is in no cluster."""
-        sizes = np.array([len(labels) for labels in self.members], dtype=np.int64)
-        labels = np.concatenate([np.empty(0, np.int64), *self.members])
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        unsorted = owner[1:][(np.diff(labels) <= 0) & (owner[1:] == owner[:-1])]
-        failures = (
-            (np.flatnonzero(sizes == 0), "cluster {} is empty"),
-            (unsorted, "cluster {} members not sorted/unique"),
-            (owner[self.assign[labels] != owner], "assign/members disagree for cluster {}"),
-        )
-        first = min((int(cids.min()) for cids, _ in failures if cids.size), default=None)
-        for cids, message in failures:
-            if first is not None and first in cids:
-                raise ContractError(message.format(first))
-        seen = np.zeros(self.num_labels, dtype=bool)
-        seen[labels] = True
-        if not seen.all():
-            raise ContractError("some label belongs to no cluster")
+    @cached_property
+    def members(self) -> list[np.ndarray]:
+        """Cluster id -> its label ids, ascending; derived from ``assign`` on first use."""
+        order = np.argsort(self.assign, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.assign))[:-1])
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path) as fh:
@@ -88,6 +77,8 @@ class ClusterMap:
             raise ParseError(f"{path}:1: header must be 'K L s seed'") from exc
         if num_labels < 1:
             raise ParseError(f"{path}:1: label count must be >= 1, got {num_labels}")
+        if s < 1:
+            raise ParseError(f"{path}:1: cluster size must be >= 1, got {s}")
         if len(lines) - 1 != k:
             raise ParseError(f"{path}:1: header says {k} clusters, file has {len(lines) - 1}")
         members = []
@@ -109,7 +100,7 @@ class ClusterMap:
                 raise ParseError(f"{path}:{cid + 2}: label {again[0]} is already in cluster {assign[again[0]]}")
             assign[labels] = cid
         # every label in range, none twice, at least L of them: each label once
-        return cls(assign, members, s, seed)
+        return cls(assign, s, seed)
 
 
 def build_label_reps(dataset: XmcDataset) -> sp.csr_array:
@@ -267,26 +258,21 @@ def build_cluster_map(reps: sp.csr_array, s: int, seed: int) -> ClusterMap:
         raise ContractError("cannot cluster an empty label set")
 
     if s == 1:
-        members = [np.array([l], dtype=np.int64) for l in range(num_labels)]
-        return ClusterMap(np.arange(num_labels, dtype=np.int64), members, s, seed)
+        return ClusterMap(np.arange(num_labels), s, seed)
 
-    leaves: list[np.ndarray] = []
+    assign = np.empty(num_labels, dtype=np.int64)
+    num_leaves = 0  # leaves are numbered in the order they are reached
     scratch = np.zeros(reps.shape[1])  # _bisect's working row of width D, zero between nodes
     stack = [(np.arange(num_labels, dtype=np.int64), 1)]  # (rows, node id), taken depth first, left first
     while stack:
         rows, node_id = stack.pop()
         if len(rows) <= s:
-            leaves.append(rows)
+            assign[rows] = num_leaves
+            num_leaves += 1
             continue
         left, right = _bisect(reps, rows, _choose_left_size(len(rows), s), [seed, node_id], scratch)
         stack += [(right, 2 * node_id + 1), (left, 2 * node_id)]
-
-    assign = np.empty(num_labels, dtype=np.int64)
-    for cid, labels in enumerate(leaves):
-        assign[labels] = cid
-    cmap = ClusterMap(assign, leaves, s, seed)
-    cmap.validate()
-    return cmap
+    return ClusterMap(assign, s, seed)
 
 
 def cluster_targets(labels, cmap: ClusterMap) -> np.ndarray:

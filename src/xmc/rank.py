@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as t
 from .errors import ContractError, DimensionError
+from .optim import _blocks
 from .recall import CandidateSet
 from .tensor import Tensor
 
@@ -38,11 +39,12 @@ class DiscriminatorParams:
 def init_discriminator(
     num_labels: int, embed_dim: int, rep_width: int, rng: np.random.Generator
 ) -> DiscriminatorParams:
+    # drawn a block of rows at a time: the (L, e) table is never held in float64
+    label_emb = np.empty((num_labels, embed_dim), dtype=t.default_dtype())
+    for _, (rows,) in _blocks(label_emb):
+        rows[...] = rng.normal(0.0, 1.0 / np.sqrt(embed_dim), size=rows.shape)
     return DiscriminatorParams(
-        label_emb=Tensor(
-            rng.normal(0.0, 1.0 / np.sqrt(embed_dim), size=(num_labels, embed_dim)),
-            requires_grad=True,
-        ),
+        label_emb=Tensor(label_emb, requires_grad=True),
         bottleneck_w=Tensor(rng.normal(0.0, 0.02, size=(embed_dim, rep_width)), requires_grad=True),
         bottleneck_b=Tensor(np.zeros(embed_dim), requires_grad=True),
     )

@@ -362,9 +362,7 @@ def build_micro_problem(seed: int = 3, num_labels: int = 8, vocab_size: int = 50
         ff_dim=16,
         seed=seed,
     )
-    members = [np.array([2 * c, 2 * c + 1]) for c in range(num_labels // 2)]
-    assign = np.repeat(np.arange(num_labels // 2), 2)
-    cmap = ClusterMap(assign, members, s=2, seed=seed)
+    cmap = ClusterMap(np.repeat(np.arange(num_labels // 2), 2), s=2, seed=seed)
     rng = np.random.default_rng(seed)
     docs = []
     for i in range(n_docs):

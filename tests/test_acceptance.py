@@ -77,7 +77,8 @@ def test_criterion_2_clustering_invariants(golden_cluster_maps, cluster_map_dige
             s = int(rng.integers(2, 65))
             reps = _random_reps(num_labels, 24, rng)
             cmap = build_cluster_map(reps, s, seed=i)
-            cmap.validate()  # exact assign/members inversion
+            for c, labels in enumerate(cmap.members):  # exact assign/members inversion
+                assert np.array_equal(labels, np.flatnonzero(cmap.assign == c)), (i, c)
             sizes = np.array([len(m) for m in cmap.members])
             assert sizes.sum() == num_labels
             if cmap.num_clusters > 1:
@@ -106,7 +107,7 @@ def test_criterion_3_candidate_set_properties():
             k = int(rng.integers(2, 12))
             s = int(rng.integers(1, 6))
             members = [np.arange(c * s, (c + 1) * s) for c in range(k)]
-            cmap = ClusterMap(np.repeat(np.arange(k), s), members, s=s, seed=0)
+            cmap = ClusterMap(np.repeat(np.arange(k), s), s=s, seed=0)
             num_labels = k * s
             scores = rng.random(k)
             b_top = int(rng.integers(1, k + 1))
@@ -154,8 +155,7 @@ def _random_model(rng):
     if num_labels > 64:
         per = 64 // num_clusters
         num_labels = num_clusters * per
-    members = [np.arange(c * per, (c + 1) * per) for c in range(num_clusters)]
-    cmap = ClusterMap(np.repeat(np.arange(num_clusters), per), members, s=per, seed=0)
+    cmap = ClusterMap(np.repeat(np.arange(num_clusters), per), s=per, seed=0)
     config = TrainConfig(
         batch_size=2, b_top=num_clusters, embed_dim=6, cluster_size=per, max_len=8,
         hidden=8, n_layers=2, n_heads=2, ff_dim=16, seed=int(rng.integers(0, 10_000)),

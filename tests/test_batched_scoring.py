@@ -111,11 +111,10 @@ def _reference_ensemble_predict(bundles, token_ids, mask, b_top, k):
 def _random_cluster_map(rng, num_labels):
     """Clusters of uneven sizes, so candidate sets are ragged within a batch."""
     cuts = np.sort(rng.choice(np.arange(1, num_labels), size=int(rng.integers(1, min(6, num_labels))), replace=False))
-    members = [np.sort(part) for part in np.split(rng.permutation(num_labels), cuts)]
     assign = np.empty(num_labels, dtype=np.int64)
-    for cid, labels in enumerate(members):
+    for cid, labels in enumerate(np.split(rng.permutation(num_labels), cuts)):
         assign[labels] = cid
-    return ClusterMap(assign, members, s=max(len(m) for m in members), seed=0)
+    return ClusterMap(assign, s=int(np.bincount(assign).max()), seed=0)
 
 
 def _random_bundle(rng, num_labels):

@@ -86,6 +86,15 @@ def test_cluster_missing_file_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cluster_max_size_below_one_exit_2_naming_the_flag(tmp_path, capsys, value):
+    # the flag is checked before the sparse file is looked for
+    out = tmp_path / "map.txt"
+    assert main(["cluster", "--sparse", str(tmp_path / "absent.txt"), "--max-size", value, "--out", str(out)]) == 2
+    assert f"--max-size: cluster_size must be finite and > 0, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["cluster", "gradcheck"])
 def test_negative_seed_exit_2_naming_the_flag(tmp_path, corpus_files, capsys, command):
     import xmc.tensor as t

@@ -21,7 +21,7 @@ from xmc.cluster import (
     cluster_targets,
 )
 from xmc.corpus import Document, SparseVec, XmcDataset
-from xmc.errors import ContractError
+from xmc.errors import ContractError, ParseError
 from xmc.synth import make_synthetic_corpus
 
 from helpers import corpus_datasets
@@ -231,7 +231,7 @@ def test_cluster_map_100_labels_s8():
     sizes = sorted(len(m) for m in cmap.members)
     assert all(5 <= size <= 8 for size in sizes)
     assert 13 <= cmap.num_clusters <= 20
-    cmap.validate()
+    _assert_members_invert_assign(cmap)
 
 
 def test_cluster_map_single_cluster_when_small():
@@ -257,8 +257,8 @@ def test_cluster_map_determinism():
     b = build_cluster_map(reps, s=8, seed=11)
     assert np.array_equal(a.assign, b.assign)
     c = build_cluster_map(reps, s=8, seed=12)
-    # different seed may or may not differ, but must still validate
-    c.validate()
+    # different seed may or may not differ, but must still be a partition
+    _assert_members_invert_assign(c)
 
 
 @settings(max_examples=30, deadline=None)
@@ -267,7 +267,7 @@ def test_cluster_map_invariants_randomized(num_labels, s, seed):
     rng = np.random.default_rng(seed)
     reps = _random_reps(num_labels, 12, rng, zero_frac=0.05)
     cmap = build_cluster_map(reps, s=s, seed=seed)
-    cmap.validate()
+    _assert_members_invert_assign(cmap)
     sizes = [len(m) for m in cmap.members]
     if cmap.num_clusters > 1:
         lower = s // 2 + 1 if bound_feasible(num_labels, s) else (s + 1) // 2
@@ -289,55 +289,67 @@ def test_block_structure_recovered():
     assert same / total >= 0.95
 
 
-def _valid_map():
-    members = [np.array([0, 3]), np.array([1, 4]), np.array([2, 5])]
-    return ClusterMap(np.array([0, 1, 2, 0, 1, 2]), members, s=2, seed=0)
+def _assert_members_invert_assign(cmap):
+    for c, labels in enumerate(cmap.members):
+        assert np.array_equal(labels, np.flatnonzero(cmap.assign == c))
 
 
-def _broken(kind: str, cid: int, cmap: ClusterMap) -> ClusterMap:
-    members = [m.copy() for m in cmap.members]
-    assign = cmap.assign.copy()
-    if kind == "empty":
-        assign[members[cid]] = (cid + 1) % len(members)
-        members[(cid + 1) % len(members)] = np.sort(np.concatenate([members[(cid + 1) % len(members)], members[cid]]))
-        members[cid] = np.empty(0, dtype=np.int64)
-    elif kind == "unsorted":
-        members[cid] = members[cid][::-1].copy()
-    elif kind == "disagree":
-        assign[members[cid][0]] = (cid + 1) % len(members)
-    return ClusterMap(assign, members, cmap.s, cmap.seed)
+@pytest.mark.parametrize("cid, assign", [(0, [1, 2, 2]), (1, [0, 2, 2]), (2, [0, 1, 1, 4])], ids=["0", "1", "2"])
+def test_construction_names_the_first_empty_cluster(cid, assign):
+    with pytest.raises(ContractError, match=f"^cluster {cid} is empty$"):
+        ClusterMap(assign, s=2, seed=0)
 
 
-@pytest.mark.parametrize(
-    "kind, message",
-    [
-        ("empty", "cluster {} is empty"),
-        ("unsorted", "cluster {} members not sorted/unique"),
-        ("disagree", "assign/members disagree for cluster {}"),
-    ],
-)
-@pytest.mark.parametrize("cid", [0, 2])
-def test_validate_names_the_first_bad_cluster(kind, message, cid):
-    _valid_map().validate()
-    with pytest.raises(ContractError, match=f"^{message.format(cid)}$"):
-        _broken(kind, cid, _valid_map()).validate()
+def test_construction_refuses_a_negative_cluster_id():
+    with pytest.raises(ContractError, match="^cluster id -1 is negative$"):
+        ClusterMap([0, -1, 1], s=2, seed=0)
 
 
-def test_validate_checks_clusters_in_id_order_then_each_cluster_in_check_order():
-    # cluster 1 is unsorted and disagrees with assign; cluster 2 is empty
-    cmap = _broken("disagree", 1, _broken("unsorted", 1, _broken("empty", 2, _valid_map())))
-    with pytest.raises(ContractError, match="^cluster 1 members not sorted/unique$"):
-        cmap.validate()
-    # a repeated label is not unique
-    members = [np.array([0, 0]), np.array([1, 2])]
-    with pytest.raises(ContractError, match="^cluster 0 members not sorted/unique$"):
-        ClusterMap(np.array([0, 1, 1]), members, s=2, seed=0).validate()
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 40), extra=st.integers(0, 160), seed=st.integers(0, 2**32 - 1))
+def test_members_derived_from_assign(tmp_path_factory, k, extra, seed):
+    # a shuffled assignment that uses every id in [0, k)
+    rng = np.random.default_rng(seed)
+    assign = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=extra)]))
+    cmap = ClusterMap(assign, s=8, seed=seed % 100)
+    assert cmap.num_clusters == k and cmap.num_labels == k + extra
+    _assert_members_invert_assign(cmap)
+    folder = tmp_path_factory.mktemp("map")
+    first, second = folder / "first.txt", folder / "second.txt"
+    cmap.save(first)
+    loaded = ClusterMap.load(first)
+    loaded.save(second)
+    assert np.array_equal(loaded.assign, assign)
+    assert first.read_bytes() == second.read_bytes()
 
 
-def test_validate_finds_a_label_in_no_cluster():
-    members = [np.array([0, 1]), np.array([3])]
-    with pytest.raises(ContractError, match="^some label belongs to no cluster$"):
-        ClusterMap(np.array([0, 0, 1, 1]), members, s=2, seed=0).validate()
+# each loader message: the file's text and what follows "<path>:" in the message
+_BAD_MAPS = {
+    "header-three-ints": ("3 8 2\n0 1 2\n", "1: header must be 'K L s seed'"),
+    "header-not-int": ("a 8 2 7\n0 1 2\n", "1: header must be 'K L s seed'"),
+    "empty-file": ("", "1: header must be 'K L s seed'"),
+    "no-labels": ("1 0 2 7\n0\n", "1: label count must be >= 1, got 0"),
+    "size-zero": ("2 4 0 7\n0 1\n2 3\n", "1: cluster size must be >= 1, got 0"),
+    "size-negative": ("3 8 -5 7\n0 3 5\n1 2 7\n4 6\n", "1: cluster size must be >= 1, got -5"),
+    "k-vs-lines": ("3 4 2 7\n0 1\n2 3\n", "1: header says 3 clusters, file has 2"),
+    "id-not-int": ("2 4 2 7\n0 x\n2 3\n", "2: label ids must be integers"),
+    "unsorted": ("2 4 2 7\n0 1\n3 2\n", "3: expected strictly increasing label ids in [0, 4)"),
+    "repeated": ("2 4 2 7\n0 1 1\n2 3\n", "2: expected strictly increasing label ids in [0, 4)"),
+    "above-range": ("2 4 2 7\n0 1\n2 4\n", "3: expected strictly increasing label ids in [0, 4)"),
+    "negative": ("2 4 2 7\n-1 0 1\n2 3\n", "2: expected strictly increasing label ids in [0, 4)"),
+    "empty-cluster": ("2 4 2 7\n\n0 1 2 3\n", "2: expected strictly increasing label ids in [0, 4)"),
+    "two-clusters": ("3 4 2 7\n0 1\n2 3\n1 2\n", "4: label 1 is already in cluster 0"),
+    "too-few-labels": ("2 5 2 7\n0 1\n2 3\n", "1: header says 5 labels, its clusters hold 4"),
+}
+
+
+@pytest.mark.parametrize("text, message", _BAD_MAPS.values(), ids=_BAD_MAPS)
+def test_load_names_the_file_line_and_fault(tmp_path, text, message):
+    path = tmp_path / "map.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as caught:
+        ClusterMap.load(path)
+    assert str(caught.value) == f"{path}:{message}"
 
 
 def test_cluster_map_save_load_roundtrip(tmp_path):
@@ -521,9 +533,7 @@ def test_seed_gram_equals_scipy_product(reps):
 
 
 def _toy_map():
-    members = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5]), np.array([6, 7])]
-    assign = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-    return ClusterMap(assign, members, s=2, seed=0)
+    return ClusterMap(np.array([0, 0, 1, 1, 2, 2, 3, 3]), s=2, seed=0)
 
 
 def test_cluster_targets_one_hot():

@@ -28,13 +28,11 @@ from xmc.rank import (
     rank_scores,
 )
 
-from helpers import param, param_count
+from helpers import param, param_count, verify_mode
 
 
 def _map_of_pairs(num_clusters=4):
-    members = [np.array([2 * c, 2 * c + 1]) for c in range(num_clusters)]
-    assign = np.repeat(np.arange(num_clusters), 2)
-    return ClusterMap(assign, members, s=2, seed=0)
+    return ClusterMap(np.repeat(np.arange(num_clusters), 2), s=2, seed=0)
 
 
 def _gen(k=4, width=6, zero=True):
@@ -206,6 +204,21 @@ def test_candidate_properties_randomized(seed, b_top):
 
 def _disc(num_labels=8, embed_dim=4, rep_width=6, seed=0):
     return init_discriminator(num_labels, embed_dim, rep_width, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("num_labels, embed_dim", [(1000, 300), (5, 70000), (3, 7)])
+def test_label_table_drawn_in_blocks_equals_one_whole_draw(verify, num_labels, embed_dim):
+    # (1000, 300) spans five row blocks of 218 rows; a row of 70,000 values is a block alone
+    with verify_mode(verify):
+        rng, whole = np.random.default_rng(3), np.random.default_rng(3)
+        disc = init_discriminator(num_labels, embed_dim, 6, rng)
+        table = whole.normal(0.0, 1.0 / np.sqrt(embed_dim), size=(num_labels, embed_dim))
+        assert disc.label_emb.data.dtype == t.default_dtype()
+        assert disc.label_emb.data.tobytes() == table.astype(t.default_dtype()).tobytes()
+        bottleneck = whole.normal(0.0, 0.02, size=(embed_dim, 6)).astype(t.default_dtype())
+        assert disc.bottleneck_w.data.tobytes() == bottleneck.tobytes()
+        assert rng.bit_generator.state == whole.bit_generator.state
 
 
 def test_gather_single_row():

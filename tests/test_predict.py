@@ -42,9 +42,7 @@ def _bundle(num_labels=8, num_clusters=4, seed=0, **cfg):
         **cfg,
     )
     per = num_labels // num_clusters
-    members = [np.arange(c * per, (c + 1) * per) for c in range(num_clusters)]
-    assign = np.repeat(np.arange(num_clusters), per)
-    cmap = ClusterMap(assign, members, s=per, seed=seed)
+    cmap = ClusterMap(np.repeat(np.arange(num_clusters), per), s=per, seed=seed)
     return init_bundle(config, vocab_size=30, cluster_map=cmap)
 
 
@@ -190,8 +188,7 @@ def test_precision_matches_set_oracle(seed, k):
 
 
 def _toy_map():
-    members = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5]), np.array([6, 7])]
-    return ClusterMap(np.repeat(np.arange(4), 2), members, s=2, seed=0)
+    return ClusterMap(np.repeat(np.arange(4), 2), s=2, seed=0)
 
 
 def test_cluster_recall_exhaustive_is_one():

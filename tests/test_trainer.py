@@ -50,9 +50,7 @@ def micro_train_config(**overrides) -> TrainConfig:
 
 def micro_setup(num_labels=8, vocab_size=50, n_docs=6, seed=3, **cfg):
     config = micro_train_config(seed=seed, **cfg)
-    members = [np.array([2 * c, 2 * c + 1]) for c in range(num_labels // 2)]
-    assign = np.repeat(np.arange(num_labels // 2), 2)
-    cmap = ClusterMap(assign, members, s=2, seed=seed)
+    cmap = ClusterMap(np.repeat(np.arange(num_labels // 2), 2), s=2, seed=seed)
     rng = np.random.default_rng(seed)
     docs = []
     for i in range(n_docs):
@@ -327,7 +325,7 @@ def test_swa_checkpoint_equals_running_mean(tmp_path):
 
 def test_cluster_map_label_count_mismatch():
     train_ds, _, _ = _tiny_synth()
-    wrong = ClusterMap(np.zeros(3, dtype=np.int64), [np.array([0, 1, 2])], s=4, seed=0)
+    wrong = ClusterMap(np.zeros(3, dtype=np.int64), s=4, seed=0)
     config = micro_train_config(cluster_size=2)
     with pytest.raises(ConfigError):
         train(train_ds, config, cluster_map=wrong, log=lambda *_: None)
