@@ -27,18 +27,12 @@ from .checkpoint import atomic_write
 from .cluster import ClusterMap, build_cluster_map, build_label_reps
 from .corpus import (Document, Vocab, XmcDataset, batch_iter, build_vocab, load_dataset, read_text, split_lines,
                      tokenize)
-from .encoder import encoder_grad_check, layers_concatenated
+from .encoder import BLOCK_DROPOUT, encoder_grad_check, layers_concatenated
 from .errors import ConfigError, ParseError, UsageError, XmcError
 from .predict import BATCH_SIZE, check_prediction_args, evaluate, predict_batch
 from .synth import make_synthetic_corpus
-from .trainer import (
-    PRESETS,
-    TrainConfig,
-    apply_preset,
-    load_bundle,
-    micro_joint_grad_check,
-    train,
-)
+from .trainer import (GRAD_CLIP, PRESETS, WEIGHT_DECAY, TrainConfig, apply_preset, load_bundle,
+                      micro_joint_grad_check, train)
 
 GRAD_TOLERANCE = 1e-4
 
@@ -129,9 +123,9 @@ _RETIRED = {
     "rank_target_invert": ((bool, False, None), False),
     "decay_bias_norm": ((bool, False, None), False),
     "bottleneck_act": ((str, False, ("sigmoid", "relu")), "sigmoid"),
-    "grad_clip": ((float, True, None), 5.0),
-    "weight_decay": ((float, False, None), 0.01),
-    "block_dropout": ((float, False, None), 0.1),
+    "grad_clip": ((float, True, None), GRAD_CLIP),
+    "weight_decay": ((float, False, None), WEIGHT_DECAY),
+    "block_dropout": ((float, False, None), BLOCK_DROPOUT),
     "swa_start_epoch": ((int, True, None), None),
 }
 # The accepted range of each numeric field, as a test and its wording; a field
@@ -140,6 +134,7 @@ _RANGES = {
     "seed": (lambda v: v >= 0, ">= 0"),
     "epochs": (lambda v: v >= 0, ">= 0"),  # 0 writes the initialized model only
     "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "max_len": (lambda v: v >= 2, ">= 2"),  # [CLS] and one token
 }
 _POSITIVE = (lambda v: 0 < v < float("inf"), "finite and > 0")
 

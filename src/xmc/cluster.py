@@ -59,7 +59,8 @@ class ClusterMap:
     def members(self) -> list[np.ndarray]:
         """Cluster id -> its label ids, ascending; derived from ``assign`` on first use."""
         order = np.argsort(self.assign, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(self.assign))[:-1])
+        ends = np.cumsum(np.bincount(self.assign)).tolist()
+        return [order[a:b] for a, b in zip([0, *ends], ends)]
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path) as fh:
@@ -79,6 +80,8 @@ class ClusterMap:
             raise ParseError(f"{path}:1: label count must be >= 1, got {num_labels}")
         if s < 1:
             raise ParseError(f"{path}:1: cluster size must be >= 1, got {s}")
+        if seed < 0:
+            raise ParseError(f"{path}:1: seed must be >= 0, got {seed}")
         if len(lines) - 1 != k:
             raise ParseError(f"{path}:1: header says {k} clusters, file has {len(lines) - 1}")
         members = []

@@ -295,47 +295,25 @@ def batch_iter(dataset: XmcDataset, batch_size: int, seed: int, epoch: int = 0, 
 # TF-IDF features for synthetic corpora (benchmark datasets ship their own)
 
 
-class TfidfVectorizer:
-    """Minimal TF-IDF with smooth idf and L2 row normalization.
+def tfidf(fit_texts: Sequence[str], *splits: Sequence[str]) -> tuple[int, list[list[SparseVec]]]:
+    """``(feature_dim, vectors of each split)``: TF-IDF with smooth idf fit on
+    ``fit_texts`` and L2-normalized rows.  Feature ids are the fit corpus's
+    terms in sorted order, so the mapping is reproducible; other terms drop."""
+    df: Counter[str] = Counter()
+    for text in fit_texts:
+        df.update(set(split_text(text)))
+    if not df:
+        raise ConfigError("cannot fit TF-IDF on an empty corpus")
+    term_to_id = {term: i for i, term in enumerate(sorted(df))}
+    n = len(fit_texts)
+    idf = np.array([np.log((1.0 + n) / (1.0 + df[term])) + 1.0 for term in term_to_id], dtype=np.float64)
 
-    Feature ids are assigned lexicographically over the fit corpus so the
-    mapping is reproducible.
-    """
+    def vector(text: str) -> SparseVec:
+        counts = Counter(term_to_id[term] for term in split_text(text) if term in term_to_id)
+        ids = sorted(counts)
+        idx = np.array(ids, dtype=np.int64)
+        vals = np.array([counts[i] for i in ids], dtype=np.float64) * idf[idx]
+        norm = np.sqrt((vals**2).sum())
+        return SparseVec(idx, vals / norm if norm > 0 else vals)
 
-    def __init__(self):
-        self.term_to_id: dict[str, int] = {}
-        self.idf: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.term_to_id)
-
-    def fit(self, texts: Sequence[str]) -> "TfidfVectorizer":
-        df: Counter[str] = Counter()
-        for text in texts:
-            df.update(set(split_text(text)))
-        if not df:
-            raise ConfigError("cannot fit TF-IDF on an empty corpus")
-        terms = sorted(df)
-        self.term_to_id = {t: i for i, t in enumerate(terms)}
-        n = len(texts)
-        self.idf = np.array(
-            [np.log((1.0 + n) / (1.0 + df[t])) + 1.0 for t in terms], dtype=np.float64
-        )
-        return self
-
-    def transform(self, texts: Sequence[str]) -> list[SparseVec]:
-        if self.idf is None:
-            raise ConfigError("TfidfVectorizer.transform called before fit")
-        out = []
-        for text in texts:
-            tf = Counter(t for t in split_text(text) if t in self.term_to_id)
-            idx = np.array(sorted(self.term_to_id[t] for t in tf), dtype=np.int64)
-            id_to_count = {self.term_to_id[t]: c for t, c in tf.items()}
-            vals = np.array([id_to_count[i] for i in idx], dtype=np.float64)
-            vals = vals * self.idf[idx]
-            norm = np.sqrt((vals**2).sum())
-            if norm > 0:
-                vals = vals / norm
-            out.append(SparseVec(idx, vals))
-        return out
+    return len(term_to_id), [[vector(text) for text in texts] for texts in splits]

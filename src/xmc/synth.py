@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_write
-from .corpus import SparseVec, TfidfVectorizer, save_sparse
+from .corpus import SparseVec, save_sparse, tfidf
 
 FILLER_POOL = 50
 
@@ -27,8 +27,6 @@ class SynthCorpus:
     test_texts: list[str]
     test_labels: list[tuple[int, ...]]
     num_labels: int
-    num_topics: int
-    seed: int
     train_sparse: list[SparseVec]
     test_sparse: list[SparseVec]
     feature_dim: int
@@ -37,26 +35,14 @@ class SynthCorpus:
         """Write the standard four files: sparse + raw text per split."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "train_sparse": out / "train.txt",
-            "train_text": out / "train_raw.txt",
-            "test_sparse": out / "test.txt",
-            "test_text": out / "test_raw.txt",
-        }
-        save_sparse(
-            paths["train_sparse"],
-            list(zip(self.train_labels, self.train_sparse)),
-            self.feature_dim,
-            self.num_labels,
-        )
-        save_sparse(
-            paths["test_sparse"],
-            list(zip(self.test_labels, self.test_sparse)),
-            self.feature_dim,
-            self.num_labels,
-        )
-        for name, texts in (("train_text", self.train_texts), ("test_text", self.test_texts)):
-            with atomic_write(paths[name]) as fh:
+        paths = {}
+        for split, labels, sparse in (("train", self.train_labels, self.train_sparse),
+                                      ("test", self.test_labels, self.test_sparse)):
+            paths[f"{split}_sparse"] = out / f"{split}.txt"
+            save_sparse(paths[f"{split}_sparse"], list(zip(labels, sparse)), self.feature_dim, self.num_labels)
+        for split, texts in (("train", self.train_texts), ("test", self.test_texts)):
+            paths[f"{split}_text"] = out / f"{split}_raw.txt"
+            with atomic_write(paths[f"{split}_text"]) as fh:
                 fh.write("\n".join(texts) + "\n")
         return paths
 
@@ -95,16 +81,6 @@ def make_synthetic_corpus(
     test_texts, test_labels = [t for t, _ in test], [l for _, l in test]
 
     # production-style features: idf fit on train only
-    vectorizer = TfidfVectorizer().fit(train_texts)
-    return SynthCorpus(
-        train_texts=train_texts,
-        train_labels=train_labels,
-        test_texts=test_texts,
-        test_labels=test_labels,
-        num_labels=num_labels,
-        num_topics=num_topics,
-        seed=seed,
-        train_sparse=vectorizer.transform(train_texts),
-        test_sparse=vectorizer.transform(test_texts),
-        feature_dim=vectorizer.dim,
-    )
+    feature_dim, (train_sparse, test_sparse) = tfidf(train_texts, train_texts, test_texts)
+    return SynthCorpus(train_texts, train_labels, test_texts, test_labels, num_labels,
+                       train_sparse, test_sparse, feature_dim)

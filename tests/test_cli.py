@@ -185,6 +185,7 @@ def test_train_static_mode_recorded(tmp_path, corpus_files):
         pytest.param("--config", "lr.txt", "learning_rate=-1\n", 1, id="config-lr-negative"),
         pytest.param("--config", "lr.json", '{\n  "epochs": 1,\n  "learning_rate": NaN\n}\n', 3, id="config-lr-nan"),
         pytest.param("--config", "dropout.txt", "dropout=1.0\n", 1, id="config-dropout-1"),
+        pytest.param("--config", "max_len.txt", "epochs=1\nmax_len=1\n", 2, id="config-max-len-1"),
         # a flag's value is checked as a config file's is; the error names the flag
         pytest.param("--heads", None, "0", None, id="flag-heads-0"),
         pytest.param("--hidden", None, "0", None, id="flag-hidden-0"),
@@ -193,6 +194,7 @@ def test_train_static_mode_recorded(tmp_path, corpus_files):
         pytest.param("--epochs", None, "-1", None, id="flag-epochs-negative"),
         pytest.param("--lr", None, "-1", None, id="flag-lr-negative"),
         pytest.param("--lr", None, "nan", None, id="flag-lr-nan"),
+        pytest.param("--max-len", None, "1", None, id="flag-max-len-1"),
     ],
 )
 def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_run, capsys, flag, name, content, line):

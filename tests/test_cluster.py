@@ -331,6 +331,7 @@ _BAD_MAPS = {
     "no-labels": ("1 0 2 7\n0\n", "1: label count must be >= 1, got 0"),
     "size-zero": ("2 4 0 7\n0 1\n2 3\n", "1: cluster size must be >= 1, got 0"),
     "size-negative": ("3 8 -5 7\n0 3 5\n1 2 7\n4 6\n", "1: cluster size must be >= 1, got -5"),
+    "seed-negative": ("2 4 2 -9\n0 1\n2 3\n", "1: seed must be >= 0, got -9"),
     "k-vs-lines": ("3 4 2 7\n0 1\n2 3\n", "1: header says 3 clusters, file has 2"),
     "id-not-int": ("2 4 2 7\n0 x\n2 3\n", "2: label ids must be integers"),
     "unsorted": ("2 4 2 7\n0 1\n3 2\n", "3: expected strictly increasing label ids in [0, 4)"),

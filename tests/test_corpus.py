@@ -1,6 +1,9 @@
 """Corpus parsing, vocabulary, tokenization and batching tests."""
 
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +15,12 @@ from xmc.corpus import (
     CLS_ID,
     PAD_ID,
     UNK_ID,
-    TfidfVectorizer,
     batch_iter,
     build_vocab,
     load_dataset,
     load_sparse,
     save_sparse,
+    tfidf,
     tokenize,
 )
 from xmc.errors import ConfigError, ParseError
@@ -264,10 +267,25 @@ def test_load_dataset_line_count_mismatch(tmp_path, tiny_sparse):
 
 def test_tfidf_unit_norm_and_determinism():
     texts = ["cat dog", "dog fish fish", "cat cat bird"]
-    v1 = TfidfVectorizer().fit(texts)
-    v2 = TfidfVectorizer().fit(texts)
-    assert v1.term_to_id == v2.term_to_id
-    vecs = v1.transform(texts)
-    for vec in vecs:
+    dim, (vecs, unseen) = tfidf(texts, texts, ["zebra"])
+    assert dim == 4  # bird cat dog fish
+    _, (again,) = tfidf(texts, texts)
+    for vec, same in zip(vecs, again):
         assert np.linalg.norm(vec.values) == pytest.approx(1.0)
-    assert len(v1.transform(["zebra"])[0].indices) == 0
+        assert np.array_equal(vec.indices, same.indices) and np.array_equal(vec.values, same.values)
+    assert len(unseen[0].indices) == 0
+    with pytest.raises(ConfigError, match="empty corpus"):
+        tfidf(["", "!!"], ["cat"])
+
+
+def test_synth_corpus_files_match_golden(tmp_path):
+    """The four files of the ``--synth`` corpus and of the CLI tests' corpus,
+    byte for byte as the ``TfidfVectorizer`` class that preceded ``tfidf``
+    wrote them (sha256 in tests/data/golden_synth_corpus.json)."""
+    golden = json.loads((Path(__file__).parent / "data" / "golden_synth_corpus.json").read_text(encoding="utf-8"))
+    corpora = {"seed7": make_synthetic_corpus(seed=7),
+               "cli_fixture": make_synthetic_corpus(num_labels=8, num_topics=4, n_train=48, n_test=16, seed=5)}
+    for name, sc in corpora.items():
+        paths = sc.write(tmp_path / name)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths.values()}
+        assert digests == golden[name], name
