@@ -29,7 +29,8 @@ from .corpus import (Document, Vocab, XmcDataset, batch_iter, build_vocab, load_
                      tokenize)
 from .encoder import BLOCK_DROPOUT, encoder_grad_check, layers_concatenated
 from .errors import ConfigError, ParseError, UsageError, XmcError
-from .predict import BATCH_SIZE, check_prediction_args, evaluate, predict_batch
+from .predict import BATCH_SIZE, evaluate, predict_batch
+from .recall import check_b_top
 from .synth import make_synthetic_corpus
 from .trainer import (GRAD_CLIP, PRESETS, WEIGHT_DECAY, TrainConfig, apply_preset, load_bundle,
                       micro_joint_grad_check, train)
@@ -235,9 +236,9 @@ def _load_train_data(args, config: TrainConfig):
     return out_dir, train_ds, dev_ds, vocab, inputs
 
 
-def _load_run(ckpt_path: Path, b_top: int | None):
-    """(bundle, config, vocab, b_top) from a checkpoint and its sibling manifest;
-    ``b_top`` is the flag's value, else the one the run trained with."""
+def _load_run(ckpt_path: Path, b_top: int | None, weights: str):
+    """(view with the ``--weights`` choice, config, vocab, b_top) from a checkpoint and its
+    sibling manifest; ``b_top`` is the flag's value, else the one the run trained with."""
     manifest_path = ckpt_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"no manifest.json next to {ckpt_path}")
@@ -250,7 +251,10 @@ def _load_run(ckpt_path: Path, b_top: int | None):
     vocab = Vocab.load(_require_file(artifacts.get("vocab"), "vocab artifact"))
     cmap = ClusterMap.load(_require_file(artifacts.get("clusters"), "cluster map artifact"))
     bundle = load_bundle(ckpt_path, config, vocab.size, cmap)
-    return bundle, config, vocab, config.b_top if b_top is None else b_top
+    if weights == "swa" and not bundle.swa_available():
+        raise UsageError(f"--weights swa: {ckpt_path} has no SWA records")
+    view = bundle.inference_params({"auto": None, "swa": True, "raw": False}[weights])
+    return view, config, vocab, config.b_top if b_top is None else b_top
 
 
 # ---------------------------------------------------------------------------
@@ -310,25 +314,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _resolve_weights_flag(value: str) -> bool | None:
-    return {"auto": None, "swa": True, "raw": False}[value]
+def _check_ks(ks) -> None:
+    if min(ks) < 1:
+        raise UsageError(f"--k: k must be >= 1, got {min(ks)}")
 
 
 def cmd_predict(args) -> int:
+    _check_ks([args.k])
     ckpt = _require_file(args.ckpt, "--ckpt checkpoint")
     text = _require_file(args.text, "--text input file")
-    bundle, config, vocab, b_top = _load_run(ckpt, args.b_top)
-    use_swa = _resolve_weights_flag(args.weights)
+    bundle, config, vocab, b_top = _load_run(ckpt, args.b_top, args.weights)
     lines = split_lines(read_text(text))
     docs = [Document(i, tokenize(line, vocab, config.max_len), (), None) for i, line in enumerate(lines)]
     dataset = XmcDataset(docs, bundle.num_labels, feature_dim=0, split="test", vocab=vocab)
 
     # checked before --out is touched, so a bad value leaves an old file as it was
-    check_prediction_args(args.k, b_top, bundle.cluster_map)
+    check_b_top(b_top, bundle.cluster_map.num_clusters)
     out_path = Path(args.out) if args.out else None
     with atomic_write(out_path) if out_path else contextlib.nullcontext(sys.stdout) as sink:
         for batch in batch_iter(dataset, BATCH_SIZE, seed=0, shuffle=False):
-            for pred in predict_batch(batch.token_ids, batch.mask, bundle, b_top, args.k, use_swa):
+            for pred in predict_batch(batch.token_ids, batch.mask, bundle, b_top, args.k):
                 sink.write(pred.as_line() + "\n")
     if out_path:
         _write_manifest(
@@ -345,8 +350,13 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     if bool(args.ckpt) == bool(args.ensemble):
         raise UsageError("eval needs exactly one of --ckpt or --ensemble")
+    try:
+        ks = tuple(int(v) for v in args.k.split(","))
+    except ValueError:
+        raise UsageError(f"--k must be comma-separated integers, got {args.k!r}") from None
+    _check_ks(ks)
     ckpts = [args.ckpt] if args.ckpt else args.ensemble.split(",")
-    loaded = [_load_run(_require_file(c, "checkpoint"), args.b_top) for c in ckpts]
+    loaded = [_load_run(_require_file(c, "checkpoint"), args.b_top, args.weights) for c in ckpts]
     bundles = [b for b, _, _, _ in loaded]
     _, config, vocab, b_top = loaded[0]
     # every member reads the token ids encoded once with the first member's vocab and max_len
@@ -363,14 +373,9 @@ def cmd_eval(args) -> int:
     if len(dataset) == 0:
         raise UsageError(f"test set {sparse} is empty")
     if dataset.num_labels != bundles[0].num_labels:
-        raise ConfigError(
-            f"label space mismatch: test has {dataset.num_labels}, model has {bundles[0].num_labels}"
-        )
-    try:
-        ks = tuple(int(v) for v in args.k.split(","))
-    except ValueError:
-        raise UsageError(f"--k must be comma-separated integers, got {args.k!r}") from None
-    report = evaluate(dataset, bundles, b_top=b_top, ks=ks, use_swa=_resolve_weights_flag(args.weights))
+        raise UsageError(f"{sparse}:1: header says {dataset.num_labels} labels, "
+                         f"the model has {bundles[0].num_labels}")
+    report = evaluate(dataset, bundles, b_top=b_top, ks=ks)
     print(report.table())
     print(report.machine_lines())
     return 0

@@ -156,21 +156,21 @@ def encode(
     return t.dropout(rep, config.dropout, training, rng)
 
 
-def micro_config(vocab_size: int = 50, max_positions: int = 8) -> EncoderConfig:
+def micro_config() -> EncoderConfig:
     """Tiny configuration used by gradient-fidelity checks."""
     return EncoderConfig(
-        vocab_size=vocab_size,
+        vocab_size=50,
         hidden=8,
         n_layers=2,
         n_heads=2,
         ff_dim=16,
-        max_positions=max_positions,
+        max_positions=8,
         dropout=0.5,
         concat_layers=5,
     )
 
 
-def encoder_grad_check(seed: int = 0, h: float = 1e-5) -> float:
+def encoder_grad_check(seed: int = 0) -> float:
     """End-to-end gradient check of a scalar head on the text representation.
 
     Runs a 2-layer micro encoder on a batch of 2 (one row padded), with all
@@ -189,4 +189,4 @@ def encoder_grad_check(seed: int = 0, h: float = 1e-5) -> float:
         rep = encode(token_ids, mask, config, params, training=True, rng=np.random.default_rng(1234))
         return t.sum_all(t.mul(rep, t.constant(probe)))
 
-    return t.grad_check(forward, list(params.values()), h=h)
+    return t.grad_check(forward, list(params.values()))

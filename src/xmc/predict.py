@@ -84,25 +84,17 @@ def _top_k(labels: np.ndarray, fused: np.ndarray, k: int, recalled: list[np.ndar
     return Prediction(labels[order], fused[order], short=len(order) < k, recalled=recalled)
 
 
-def check_prediction_args(k: int, b_top: int, cmap: ClusterMap) -> None:
-    """ConfigError unless ``k >= 1`` and ``b_top`` is in [1, K]."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if not 1 <= b_top <= cmap.num_clusters:
-        raise ConfigError(f"b_top={b_top} outside [1, {cmap.num_clusters}]")
-
-
 def predict_batch(
     token_ids: np.ndarray,
     mask: np.ndarray,
     bundle: "ModelBundle",
     b_top: int,
     k: int,
-    use_swa: bool | None = None,
 ) -> list[Prediction]:
-    """Top-K fused predictions for a padded batch (dropout off)."""
-    check_prediction_args(k, b_top, bundle.cluster_map)
-    view = bundle.inference_params(use_swa)
+    """Top-K fused predictions of ``bundle.inference_params()`` for a padded batch (dropout off)."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    view = bundle.inference_params()
     return [_top_k(cs.labels, fused, k, [cs.clusters]) for cs, fused in _score_batch(view, token_ids, mask, b_top)]
 
 
@@ -112,7 +104,6 @@ def ensemble_predict(
     mask: np.ndarray,
     b_top: int,
     k: int,
-    use_swa: bool | None = None,
 ) -> list[Prediction]:
     """Average fused per-label scores across bundles (absent labels score 0).
 
@@ -124,7 +115,7 @@ def ensemble_predict(
         raise ConfigError("ensemble bundles must share the label space")
     members = []
     for bundle in bundles:
-        view = bundle.inference_params(use_swa)
+        view = bundle.inference_params()
         members.append(_score_batch(view, token_ids, mask, min(b_top, view.cluster_map.num_clusters)))
     out = []
     for rows in zip(*members):
@@ -158,28 +149,25 @@ def evaluate(
     bundles: Sequence["ModelBundle"],
     b_top: int,
     ks: tuple[int, ...] = (1, 3, 5),
-    use_swa: bool | None = None,
 ) -> EvalReport:
     """P@k over a dataset plus micro-averaged cluster recall.
 
     With an ensemble, predictions use the score average; cluster recall is
-    averaged over the member models.
+    averaged over the member models.  Bundles predict with their ``inference_params()``.
     """
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate an empty dataset")
     hits = {k: 0.0 for k in ks}
     covered = 0.0
     total_pos = 0
-    used_swa = any(b.swa_available() for b in bundles) if use_swa is None else use_swa
-    views = [b.inference_params(use_swa) for b in bundles]
     for batch in batch_iter(dataset, BATCH_SIZE, seed=0, shuffle=False):
-        if len(views) == 1:
-            preds = predict_batch(batch.token_ids, batch.mask, views[0], b_top, max(ks), use_swa=False)
+        if len(bundles) == 1:
+            preds = predict_batch(batch.token_ids, batch.mask, bundles[0], b_top, max(ks))
         else:
-            preds = ensemble_predict(views, batch.token_ids, batch.mask, b_top, max(ks), use_swa=False)
+            preds = ensemble_predict(bundles, batch.token_ids, batch.mask, b_top, max(ks))
         for pred, labels in zip(preds, batch.labels):
-            for view, recalled in zip(views, pred.recalled):
-                covered += cluster_recall(recalled, labels, view.cluster_map) * len(labels) / len(views)
+            for bundle, recalled in zip(bundles, pred.recalled):
+                covered += cluster_recall(recalled, labels, bundle.cluster_map) * len(labels) / len(bundles)
             total_pos += len(labels)
             truth = set(labels)
             for k in ks:
@@ -189,5 +177,5 @@ def evaluate(
         precision={k: hits[k] / n for k in ks},
         cluster_recall=covered / max(total_pos, 1),
         count=n,
-        used_swa=used_swa,
+        used_swa=any(b.swa_available() for b in bundles),
     )

@@ -61,6 +61,12 @@ class CandidateSet:
         return len(self.labels)
 
 
+def check_b_top(b_top: int, num_clusters: int) -> None:
+    """ConfigError unless ``b_top`` is in [1, K]."""
+    if not 1 <= b_top <= num_clusters:
+        raise ConfigError(f"b_top={b_top} outside [1, {num_clusters}]")
+
+
 def top_clusters(scores_row: np.ndarray, b_top: int) -> np.ndarray:
     """Indices of the b_top highest-scoring clusters, ties by ascending id.
 
@@ -95,8 +101,7 @@ def sample_candidates(
         raise DimensionError(
             f"scores have {scores.shape[1]} clusters, map has {cmap.num_clusters}"
         )
-    if not 1 <= b_top <= cmap.num_clusters:
-        raise ConfigError(f"b_top must be in [1, {cmap.num_clusters}], got {b_top}")
+    check_b_top(b_top, cmap.num_clusters)
     if positives is not None and len(positives) != scores.shape[0]:
         raise ContractError("positives must align with the score rows")
 

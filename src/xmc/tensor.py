@@ -21,6 +21,7 @@ from scipy.special import erf
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 PROB_EPS = 1e-12  # probability clamp applied before any log()
+GRAD_CHECK_STEP = 1e-5  # central-difference step of grad_check
 
 # Additive pre-softmax fill for masked attention slots.  Finite (so NaN
 # checking stays strict) but large enough that exp() underflows to exactly 0.
@@ -549,7 +550,7 @@ def bce_loss(p: Tensor, y: np.ndarray) -> Tensor:
 # verification
 
 
-def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-5) -> float:
+def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must rebuild the full forward pass on each call (so dropout masks
@@ -575,12 +576,12 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
         aflat = an.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRAD_CHECK_STEP
             lp = float(f().data)
-            flat[i] = orig - h
+            flat[i] = orig - GRAD_CHECK_STEP
             lm = float(f().data)
             flat[i] = orig
-            fd = (lp - lm) / (2.0 * h)
+            fd = (lp - lm) / (2.0 * GRAD_CHECK_STEP)
             err = abs(aflat[i] - fd) / max(1.0, abs(aflat[i]))
             if err > worst:
                 worst = err

@@ -21,12 +21,14 @@ import numpy as np
 from . import tensor as t
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .cluster import ClusterMap, build_cluster_map, build_label_reps, cluster_targets
-from .corpus import Batch, XmcDataset, batch_iter
+from .corpus import Batch, Document, Vocab, XmcDataset, batch_iter
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .errors import ConfigError, ContractError, TrainingError
 from .optim import OptimizerState, SwaState, adamw_step, clip_grads, swa_update
+from .predict import evaluate
 from .rank import DiscriminatorParams, gather_embeddings, init_discriminator, pad_candidates, rank_loss, rank_scores
-from .recall import CandidateSet, GeneratorParams, init_generator, recall_loss, recall_scores, sample_candidates
+from .recall import (CandidateSet, GeneratorParams, check_b_top, init_generator, recall_loss, recall_scores,
+                     sample_candidates)
 from .tensor import Tensor
 
 DEFAULT_EMBED_DIM = 256
@@ -131,11 +133,12 @@ class ModelBundle:
         return self.swa.count > 0
 
     def inference_params(self, use_swa: bool | None = None) -> "ModelBundle":
-        """A read-only view for prediction; SWA weights when present unless forced off."""
+        """A read-only view for prediction: the SWA weights when present, unless
+        ``use_swa`` is False.  A raw view holds no SWA average, so it stays raw."""
         if use_swa is None:
             use_swa = self.swa_available()
         if not use_swa:
-            return self
+            return replace(self, swa=SwaState()) if self.swa_available() else self
         if not self.swa_available():
             raise ContractError("SWA weights requested but none accumulated")
         return replace(self, params={name: Tensor(self.swa.average[name]) for name in self.params})
@@ -169,13 +172,11 @@ def init_bundle(config: TrainConfig, vocab_size: int, cluster_map: ClusterMap) -
 
 
 def build_static_cache(dataset: XmcDataset, bundle: ModelBundle) -> list[CandidateSet]:
-    """Candidate sets by dataset position, sampled once with the snapshot generator."""
+    """Candidate sets by dataset position, sampled once with the snapshot model."""
     config = bundle.config
     sets: list[CandidateSet] = [None] * len(dataset)  # type: ignore[list-item]
     for batch in batch_iter(dataset, max(config.batch_size, 32), seed=0, shuffle=False):
-        rep = encode(batch.token_ids, batch.mask, bundle.enc_config, bundle.params, training=False, rng=bundle.rng)
-        scores = recall_scores(rep, bundle.generator).data
-        sampled = sample_candidates(scores, bundle.cluster_map, config.b_top, positives=batch.labels)
+        *_, sampled = joint_losses(batch, bundle, b_top=config.b_top, training=False)
         for idx, cs in zip(batch.doc_indices, sampled):
             sets[idx] = cs
     return sets
@@ -183,8 +184,7 @@ def build_static_cache(dataset: XmcDataset, bundle: ModelBundle) -> list[Candida
 
 def resolve_b_top(config: TrainConfig, dataset: XmcDataset, cmap: ClusterMap) -> int:
     if config.b_top is not None:
-        if not 1 <= config.b_top <= cmap.num_clusters:
-            raise ConfigError(f"b_top={config.b_top} outside [1, {cmap.num_clusters}]")
+        check_b_top(config.b_top, cmap.num_clusters)
         return config.b_top
     return default_b_top(dataset.avg_positives(), cmap.num_clusters)
 
@@ -313,9 +313,7 @@ def train(
             "loss_d": sum_d / max(steps, 1),
         }
         if dev is not None:
-            from .predict import evaluate  # deferred: predict imports trainer types
-
-            report = evaluate(dev, [bundle], b_top=b_top, use_swa=False)
+            report = evaluate(dev, [bundle.inference_params(False)], b_top=b_top)
             record.update(
                 p1=report.precision[1],
                 p3=report.precision[3],
@@ -339,14 +337,12 @@ def train(
     return bundle, metrics
 
 
-def build_micro_problem(seed: int = 3, num_labels: int = 8, vocab_size: int = 50, n_docs: int = 6):
+def build_micro_problem(seed: int = 3, num_labels: int = 8, n_docs: int = 6):
     """Tiny model + dataset for gradient-fidelity checks.
 
     Vocab 50, hidden 8, 2 layers / 2 heads, K=4 clusters over 8 labels,
     embed_dim 4, batch size 2.
     """
-    from .corpus import Document, Vocab as _Vocab
-
     config = TrainConfig(
         epochs=1,
         batch_size=2,
@@ -363,22 +359,22 @@ def build_micro_problem(seed: int = 3, num_labels: int = 8, vocab_size: int = 50
         seed=seed,
     )
     cmap = ClusterMap(np.repeat(np.arange(num_labels // 2), 2), s=2, seed=seed)
+    vocab = Vocab({f"tok{i}": 3 + i for i in range(47)})  # 50 ids with the 3 reserved ones
     rng = np.random.default_rng(seed)
     docs = []
     for i in range(n_docs):
         length = int(rng.integers(2, 6))
-        tokens = [1] + rng.integers(3, vocab_size, size=length - 1).tolist()
+        tokens = [1] + rng.integers(3, vocab.size, size=length - 1).tolist()
         labels = tuple(
             sorted(rng.choice(num_labels, size=int(rng.integers(1, 3)), replace=False).tolist())
         )
         docs.append(Document(i, tokens, labels, None))
-    vocab = _Vocab({f"tok{i}": 3 + i for i in range(vocab_size - 3)})
     dataset = XmcDataset(docs, num_labels=num_labels, feature_dim=10, vocab=vocab)
     bundle = init_bundle(config, vocab.size, cmap)
     return config, dataset, bundle
 
 
-def micro_joint_grad_check(seed: int = 3, h: float = 1e-5) -> float:
+def micro_joint_grad_check(seed: int = 3) -> float:
     """Max relative gradient error of the joint loss on the micro model.
 
     Candidate sets are sampled once up front and then frozen (sampling is not
@@ -394,7 +390,7 @@ def micro_joint_grad_check(seed: int = 3, h: float = 1e-5) -> float:
         total, *_ = joint_losses(batch, bundle, candidates=candidates, training=True)
         return total
 
-    return t.grad_check(forward, list(bundle.params.values()), h=h)
+    return t.grad_check(forward, list(bundle.params.values()))
 
 
 def load_bundle(ckpt_path: str | Path, config: TrainConfig, vocab_size: int, cluster_map: ClusterMap) -> ModelBundle:

@@ -222,7 +222,7 @@ def test_criterion_6_synthetic_convergence():
         bundle, metrics = train(train_ds, config, log=lambda *_: None)
         b_top = resolve_b_top(config, train_ds, bundle.cluster_map)
         report = evaluate(test_ds, [bundle], b_top=b_top)  # SWA weights (present)
-        raw = evaluate(test_ds, [bundle], b_top=b_top, use_swa=False)
+        raw = evaluate(test_ds, [bundle.inference_params(False)], b_top=b_top)
         first = metrics[0]["loss_g"] + metrics[0]["loss_d"]
         last = metrics[-1]["loss_g"] + metrics[-1]["loss_d"]
         elapsed = time.perf_counter() - started

@@ -374,7 +374,7 @@ def test_failed_predict_leaves_old_out_untouched(tmp_path, trained_run, corpus_f
     assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.txt"]
 
 
-@pytest.mark.parametrize("k", ["abc", "", "1,,3"])
+@pytest.mark.parametrize("k", ["abc", "", "1,,3", "0", "1,0"])
 def test_eval_malformed_k_exit_2(capsys, trained_run, corpus_files, k):
     code = main(["eval", "--ckpt", str(trained_run / "final.ckpt"),
                  "--sparse", str(corpus_files["test_sparse"]),
@@ -383,13 +383,50 @@ def test_eval_malformed_k_exit_2(capsys, trained_run, corpus_files, k):
     assert "--k" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_predict_k_zero_names_the_flag(capsys, trained_run, corpus_files):
+    code = main(["predict", "--ckpt", str(trained_run / "final.ckpt"),
+                 "--text", str(corpus_files["test_text"]), "--k", "0"])
+    assert code == 2
+    assert "error: --k: k must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "ensemble"])
 def test_b_top_zero_is_out_of_range(capsys, trained_run, corpus_files, command):
-    inputs = ["--sparse", str(corpus_files["test_sparse"])] if command == "eval" else []
-    code = main([command, "--ckpt", str(trained_run / "final.ckpt"), *inputs,
+    ckpt = str(trained_run / "final.ckpt")
+    source = ["--ensemble", f"{ckpt},{ckpt}"] if command == "ensemble" else ["--ckpt", ckpt]
+    inputs = ["--sparse", str(corpus_files["test_sparse"])] if command != "predict" else []
+    code = main(["predict" if command == "predict" else "eval", *source, *inputs,
                  "--text", str(corpus_files["test_text"]), "--b-top", "0"])
     assert code == 2
     assert "b_top=0 outside [1, " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "ensemble"])
+def test_weights_swa_without_swa_records_exit_2(tmp_path, capsys, trained_run, command):
+    # per-epoch checkpoints hold the raw weights only; final.ckpt adds the SWA records
+    raw_only = trained_run / "epoch001.ckpt"
+    # refused before the inputs are read: reading this file would fail with its own location
+    unread = tmp_path / "unread.txt"
+    unread.write_bytes(b"\xff\xfe\n")
+    if command == "predict":
+        argv = ["predict", "--ckpt", str(raw_only), "--text", str(unread)]
+    else:
+        source = ["--ckpt", str(raw_only)] if command == "eval" else [
+            "--ensemble", f"{trained_run / 'final.ckpt'},{raw_only}"]
+        argv = ["eval", *source, "--sparse", str(unread), "--text", str(unread)]
+    code = main([*argv, "--weights", "swa"])
+    assert code == 2
+    assert f"error: --weights swa: {raw_only} has no SWA records" in capsys.readouterr().err
+
+
+def test_eval_label_count_differs_names_the_header(tmp_path, capsys, trained_run):
+    sparse = tmp_path / "test.txt"
+    sparse.write_text("2 4 70\n0 1:1.0\n65 2:1.0\n")
+    text = tmp_path / "test_raw.txt"
+    text.write_text("topic0 word\ntopic1 word\n")
+    code = main(["eval", "--ckpt", str(trained_run / "final.ckpt"), "--sparse", str(sparse), "--text", str(text)])
+    assert code == 2
+    assert f"error: {sparse}:1: header says 70 labels, the model has 8" in capsys.readouterr().err
 
 
 def test_eval_requires_exactly_one_source(trained_run, corpus_files):

@@ -173,7 +173,7 @@ def test_random_graph_backward_matches_fd(rows, inner, cols, seed):
         def forward():
             return T.bce_loss(T.sigmoid(T.add(T.matmul(a, b), bias)), y)
 
-        err = T.grad_check(forward, [a, b, bias], h=1e-5)
+        err = T.grad_check(forward, [a, b, bias])
         assert err < 1e-4
 
 
@@ -215,7 +215,7 @@ def test_grad_check_requires_verify_mode():
 def test_grad_check_known_sigmoid_derivative():
     with verify_mode():
         x = T.Tensor([0.0], requires_grad=True)
-        err = T.grad_check(lambda: T.sum_all(T.sigmoid(x)), [x], h=1e-5)
+        err = T.grad_check(lambda: T.sum_all(T.sigmoid(x)), [x])
         assert err < 1e-8
 
 
