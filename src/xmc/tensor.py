@@ -4,6 +4,9 @@ Ops execute eagerly on numpy arrays. While a :class:`Tape` is active (see
 :func:`record`), every differentiable op appends a backward closure to it;
 ``Tape.backward`` replays those closures in exact reverse execution order,
 accumulating into ``.grad`` of each reachable tensor with ``requires_grad``.
+A tape runs backward once: each node, with the activations its closure holds
+and its output's gradient, is released as soon as it has run, so only leaf
+tensors such as parameters keep a gradient.
 
 Two global numeric modes exist: fast (float32) and verification (float64 with
 NaN/Inf checking), toggled by :func:`set_verify_mode`.
@@ -142,17 +145,21 @@ def constant(data) -> Tensor:
 
 
 class Tape:
-    """Ordered record of executed differentiable ops.
+    """Ordered record of executed differentiable ops, used for one backward.
 
     ``backward`` seeds the scalar loss with gradient 1 and replays the
-    recorded closures in reverse execution order.  Tensors not on a path to
-    the loss keep ``grad is None``.
+    recorded closures in reverse execution order.  It pops each node as it
+    runs and takes its output's gradient away: every consumer of that output
+    ran later in the forward pass, so the gradient is final and nothing reads
+    it again.  Op outputs end with ``grad is None`` and the tape empty; leaves
+    not on a path to the loss keep ``grad is None`` too.
     """
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("_nodes", "_used")
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._used = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -160,10 +167,15 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if loss.size != 1:
             raise ContractError("backward requires a scalar loss")
+        if self._used:
+            raise ContractError("backward already ran on this tape")
+        self._used = True
         loss._accum(np.ones_like(loss.data))
-        for out, fn in reversed(self._nodes):
-            if out.grad is not None:
-                fn(out.grad)
+        while self._nodes:
+            out, fn = self._nodes.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                fn(g)
 
 
 _active: Tape | None = None
@@ -446,7 +458,8 @@ def softmax(x: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor
     if keep is None:
         y = x.data - np.max(x.data, axis=axis, keepdims=True)
     else:
-        y = np.where(keep, x.data, MASK_FILL)
+        y = x.data.copy()
+        np.copyto(y, MASK_FILL, where=~keep)
         y -= np.max(y, axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)

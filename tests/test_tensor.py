@@ -1,6 +1,7 @@
 """Tensor-core unit tests: op semantics and finite-difference fidelity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmc import tensor as T
+from xmc.cluster import build_cluster_map, build_label_reps
+from xmc.corpus import batch_iter
 from xmc.errors import ConfigError, ContractError, DimensionError, NumericError
+from xmc.synth import make_synthetic_corpus
+from xmc.trainer import TrainConfig, apply_preset, build_micro_problem, init_bundle, joint_losses, train_step
 
-from helpers import verify_mode
+from helpers import corpus_datasets, verify_mode
 
 
 def fd_grad(f, x, h=1e-6):
@@ -173,8 +178,14 @@ def test_random_graph_backward_matches_fd(rows, inner, cols, seed):
         def forward():
             return T.bce_loss(T.sigmoid(T.add(T.matmul(a, b), bias)), y)
 
-        err = T.grad_check(forward, [a, b, bias])
-        assert err < 1e-4
+        def diamond():
+            # h feeds two branches; its own node must see both contributions
+            h = T.matmul(a, b)
+            left = T.bce_loss(T.sigmoid(T.add(h, bias)), y)
+            return T.add(left, T.sum_all(T.scale(T.mul(h, h), 0.5)))
+
+        assert T.grad_check(forward, [a, b, bias]) < 1e-4
+        assert T.grad_check(diamond, [a, b, bias]) < 1e-4
 
 
 def test_backward_determinism_bit_identical():
@@ -230,8 +241,21 @@ def test_softmax_rows_sum_to_one_and_masked_fill():
     probs = T.softmax(filled, axis=-1).data
     assert probs[0, 2] == 0.0
     assert probs.sum() == pytest.approx(1.0)
-    # keep= is masked_fill with MASK_FILL and softmax in one op
+    # keep= is masked_fill with MASK_FILL and softmax in one op, bit for bit,
+    # also for random masks broadcast over heads and queries, fully masked
+    # rows and masks that keep every key, in both dtypes
     assert np.array_equal(T.softmax(x, axis=-1, keep=keep).data, probs)
+    rng = np.random.default_rng(12)
+    for verify in (False, True):
+        with verify_mode(verify):
+            for trial in range(12):
+                x = T.constant(rng.normal(scale=4.0, size=(5, 3, 6, 7)))
+                keep = rng.random((5, 1, 1, 7)) < [0.0, 0.5, 1.0][trial % 3]
+                keep[trial % 5] = trial % 2 == 0
+                want = T.softmax(T.masked_fill(x, keep, T.MASK_FILL), axis=-1).data
+                got = T.softmax(x, axis=-1, keep=keep).data
+                assert got.dtype == want.dtype == T.default_dtype()
+                assert got.tobytes() == want.tobytes()
 
 
 def test_masked_softmax_backward_fd():
@@ -308,3 +332,95 @@ def test_take_concat_transpose_roundtrip_grads():
             return T.sum_all(T.mul(both, T.constant(w)))
 
         assert T.grad_check(forward, [x]) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# tape release: backward frees each node and its output's gradient as it runs
+
+
+def _keep_all_backward(tape, loss):
+    """Reference loop that keeps every node and every op output's gradient
+    until the tape dies, as backward did before it released them."""
+    loss._accum(np.ones_like(loss.data))
+    for out, fn in reversed(tape._nodes):
+        if out.grad is not None:
+            fn(out.grad)
+
+
+def _micro_param_grads(backward):
+    """Parameter gradients of one joint loss on the micro problem (float64),
+    with frozen candidates and fixed dropout masks."""
+    config, dataset, bundle = build_micro_problem()
+    batch = next(batch_iter(dataset, config.batch_size, seed=config.seed, epoch=1))
+    _, _, _, candidates = joint_losses(batch, bundle, b_top=config.b_top, training=False)
+    bundle.rng = np.random.default_rng(17)
+    with T.record() as tape:
+        total, *_ = joint_losses(batch, bundle, candidates=candidates, training=True)
+        outputs = [out for out, _ in tape._nodes]
+        backward(tape, total)
+    return {n: p.grad for n, p in bundle.params.items()}, outputs, tape
+
+
+def test_backward_releases_nodes_and_op_output_grads():
+    with verify_mode():
+        grads, outputs, tape = _micro_param_grads(T.Tape.backward)
+        ref, _, _ = _micro_param_grads(_keep_all_backward)
+    assert len(tape) == 0 and len(outputs) > 50
+    assert all(out.grad is None for out in outputs)
+    assert all(g is not None for g in grads.values())
+    assert {n: g.tobytes() for n, g in grads.items()} == {n: g.tobytes() for n, g in ref.items()}
+
+
+def test_tape_runs_backward_once():
+    x = T.Tensor([2.0], requires_grad=True)
+    with T.record() as tape:
+        loss = T.sum_all(T.scale(x, 3.0))
+        tape.backward(loss)
+        with pytest.raises(ContractError, match="already ran"):
+            tape.backward(loss)
+    assert x.grad[0] == 3.0
+
+
+def test_backward_memory_stays_near_the_forward_hold():
+    """40 chained scales over a 1 MB tensor: backward frees each activation and
+    gradient as it goes, so its peak stays near what the forward holds, and
+    afterwards only the leaf's gradient and the last output remain."""
+    mb = 1 << 20
+    x = T.Tensor(np.ones(mb // 4, dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with T.record() as tape:
+            y = x
+            for _ in range(40):
+                y = T.scale(y, 1.001)
+            loss = T.sum_all(y)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - before > 40 * mb
+    assert peak <= held + 8 * mb
+    assert after - before <= 8 * mb
+    assert x.grad.shape == x.shape
+
+
+def test_synth64_train_step_matches_keep_all_backward(monkeypatch):
+    """One fast-mode synth-64 step writes the same gradients and weights
+    whether backward releases its nodes or keeps them all."""
+    config = apply_preset(TrainConfig(), "synth-64")
+    sc = make_synthetic_corpus(n_train=64, n_test=8, seed=config.seed)
+    train_ds, _, vocab = corpus_datasets(sc, max_len=config.max_len)
+    cmap = build_cluster_map(build_label_reps(train_ds), config.cluster_size, config.seed)
+    batch = next(batch_iter(train_ds, config.batch_size, seed=config.seed, epoch=1))
+
+    def step():
+        bundle = init_bundle(config, vocab.size, cmap)
+        losses = train_step(batch, bundle, config, config.b_top)
+        return losses, {n: (p.data.tobytes(), p.grad.tobytes()) for n, p in bundle.params.items()}
+
+    released = step()
+    monkeypatch.setattr(T.Tape, "backward", _keep_all_backward)
+    assert step() == released
