@@ -65,7 +65,7 @@ def _read(fh, n: int, path, size: int) -> bytes:
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Every record of a checkpoint, each read from the file straight into its
-    own array; a short or damaged record is a ParseError naming its byte."""
+    own array; a short, damaged or repeated record is a ParseError naming its byte."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -75,13 +75,15 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         (version,) = struct.unpack("<I", _read(fh, 4, path, size))
         if version != FORMAT_VERSION:
             raise ParseError(f"{path}: unsupported checkpoint version {version}")
-        while fh.tell() < size:
+        while (start := fh.tell()) < size:
             (name_len,) = struct.unpack("<I", _read(fh, 4, path, size))
             pos = fh.tell()
             try:
                 name = _read(fh, name_len, path, size).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: truncated checkpoint record at byte {pos}") from exc
+            if name in out:
+                raise ParseError(f"{path}: record {name!r} at byte {start} repeats an earlier one")
             (ndim,) = struct.unpack("<I", _read(fh, 4, path, size))
             shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, size))
             pos = fh.tell()

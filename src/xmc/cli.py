@@ -179,6 +179,8 @@ def resolve_train_config(args) -> TrainConfig:
         at = [where[name] for name in ("hidden", "n_heads") if name in where]  # presets divide
         raise UsageError(f"{at[0]}: hidden {config.hidden} is not divisible by n_heads {config.n_heads}"
                          + "".join(f" (set at {w})" for w in at[1:]))
+    if args.command == "ablate" and config.epochs < 1:  # its loss curves need an epoch
+        raise UsageError(f"{where['epochs']}: ablate needs epochs >= 1, got {config.epochs}")
     return replace(config, concat_layers=layers_concatenated(config.concat_layers, config.n_layers))
 
 
@@ -233,7 +235,13 @@ def _load_train_data(args, config: TrainConfig):
     dev_ds = None
     if "dev_sparse" in inputs:
         dev_ds = load_dataset(inputs["dev_sparse"], inputs["dev_text"], vocab, max_len=config.max_len, split="test")
+        _check_label_count(inputs["dev_sparse"], dev_ds.num_labels, train_ds.num_labels)
     return out_dir, train_ds, dev_ds, vocab, inputs
+
+
+def _check_label_count(path: Path, num_labels: int, train_labels: int) -> None:
+    if num_labels != train_labels:
+        raise UsageError(f"{path}:1: header says {num_labels} labels, the training set has {train_labels}")
 
 
 def _load_run(ckpt_path: Path, b_top: int | None, weights: str):
@@ -290,8 +298,9 @@ def cmd_train(args) -> int:
 
     cmap = None
     if args.clusters:
-        cmap = ClusterMap.load(_require_file(args.clusters, "--clusters map file"))
-        inputs["clusters"] = Path(args.clusters)
+        inputs["clusters"] = _require_file(args.clusters, "--clusters map file")
+        cmap = ClusterMap.load(inputs["clusters"])
+        _check_label_count(inputs["clusters"], cmap.num_labels, train_ds.num_labels)
 
     vocab_path = out_dir / "vocab.txt"
     vocab.save(vocab_path)

@@ -1,12 +1,14 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
-Ops execute eagerly on numpy arrays. While a :class:`Tape` is active (see
-:func:`record`), every differentiable op appends a backward closure to it;
-``Tape.backward`` replays those closures in exact reverse execution order,
-accumulating into ``.grad`` of each reachable tensor with ``requires_grad``.
-A tape runs backward once: each node, with the activations its closure holds
-and its output's gradient, is released as soon as it has run, so only leaf
-tensors such as parameters keep a gradient.
+Ops execute eagerly on numpy arrays and make their outputs in one place,
+:func:`_node`, under two rules.  An output requires a gradient iff one of its
+inputs does, and only such an output is taped, while a :class:`Tape` records
+(see :func:`record`).  Only a tensor that requires a gradient takes one:
+``_accum`` and ``_accum_rows`` ignore the rest, so a backward closure states
+its derivative alone.  ``Tape.backward`` replays the closures in exact
+reverse execution order.  A tape runs backward once: each node, with the
+activations its closure holds and its output's gradient, is released as soon
+as it has run, so only leaf tensors such as parameters keep a gradient.
 
 Two global numeric modes exist: fast (float32) and verification (float64 with
 NaN/Inf checking), toggled by :func:`set_verify_mode`.
@@ -120,6 +122,8 @@ class Tensor:
         return buf
 
     def _accum(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
         if self._grad is None:
             # zeros + g in one pass: data's layout and dtype, and -0.0 becomes +0.0
             self._grad = np.add(g, 0.0, out=self._buffer(zeroed=False))
@@ -129,6 +133,8 @@ class Tensor:
 
     def _accum_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Add ``values`` to the sorted, distinct ``rows`` of the gradient."""
+        if not self.requires_grad:
+            return
         if self._grad is None:
             self._grad = self._buffer(zeroed=True)
             self.grad_rows = rows
@@ -194,9 +200,16 @@ def record():
         _active = prev
 
 
-def _trace(out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
-    if _active is not None and out.requires_grad:
-        _active._nodes.append((out, fn))
+def _node(data, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's output: it requires a gradient iff some input does, and only
+    then, while a tape records, is it taped with ``backward``."""
+    for x in inputs:
+        if x.requires_grad:
+            out = Tensor(data, True)
+            if _active is not None:
+                _active._nodes.append((out, backward))
+            return out
+    return Tensor(data)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -222,16 +235,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         or a.shape[:-2] != b.shape[:-2]
     ):
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        if b.requires_grad:
-            b._accum(np.matmul(np.swapaxes(a.data, -1, -2), g))
+        a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        b._accum(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
-    _trace(out, bwd)
-    return out
+    return _node(a.data @ b.data, (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -241,80 +250,58 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     flat = x.data.reshape(-1, w.shape[0])
     y = flat @ w.data
     y += b.data
-    out = Tensor(y.reshape(x.shape[:-1] + w.shape[1:]), x.requires_grad or w.requires_grad or b.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         g = g.reshape(flat.shape[0], -1)
-        if b.requires_grad:
-            b._accum(g.sum(axis=0))
-        if x.requires_grad:
-            x._accum((g @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accum(flat.T @ g)
+        b._accum(g.sum(axis=0))
+        x._accum((g @ w.data.T).reshape(x.shape))
+        w._accum(flat.T @ g)
 
-    _trace(out, bwd)
-    return out
+    return _node(y.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
+        a._accum(_unbroadcast(g, a.shape))
+        b._accum(_unbroadcast(g, b.shape))
 
-    _trace(out, bwd)
-    return out
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def add_n(tensors: Sequence[Tensor]) -> Tensor:
     """Sum of same-shape tensors."""
-    out = Tensor(sum(t.data for t in tensors), any(t.requires_grad for t in tensors))
 
     def bwd(g: np.ndarray) -> None:
         for t in tensors:
-            if t.requires_grad:
-                t._accum(g)
+            t._accum(g)
 
-    _trace(out, bwd)
-    return out
+    return _node(sum(t.data for t in tensors), tensors, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape))
+        a._accum(_unbroadcast(g * b.data, a.shape))
+        b._accum(_unbroadcast(g * a.data, b.shape))
 
-    _trace(out, bwd)
-    return out
+    return _node(a.data * b.data, (a, b), bwd)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
-    out = Tensor(x.data * factor, x.requires_grad)
-
     def bwd(g: np.ndarray) -> None:
         x._accum(g * factor)
 
-    _trace(out, bwd)
-    return out
+    return _node(x.data * factor, (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum(), x.requires_grad)
-
     def bwd(g: np.ndarray) -> None:
         x._accum(np.full_like(x.data, float(g)))
 
-    _trace(out, bwd)
-    return out
+    return _node(x.data.sum(), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -322,29 +309,23 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape), x.requires_grad)
-
     def bwd(g: np.ndarray) -> None:
         x._accum(g.reshape(x.shape))
 
-    _trace(out, bwd)
-    return out
+    return _node(x.data.reshape(shape), (x,), bwd)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes), x.requires_grad)
     inverse = tuple(np.argsort(axes))
 
     def bwd(g: np.ndarray) -> None:
         x._accum(np.transpose(g, inverse))
 
-    _trace(out, bwd)
-    return out
+    return _node(np.transpose(x.data, axes), (x,), bwd)
 
 
 def take(x: Tensor, index: int, axis: int) -> Tensor:
     """Select one slice along ``axis`` (the axis is dropped)."""
-    out = Tensor(np.take(x.data, index, axis=axis), x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         z = np.zeros_like(x.data)
@@ -353,24 +334,17 @@ def take(x: Tensor, index: int, axis: int) -> Tensor:
         z[tuple(sl)] = g
         x._accum(z)
 
-    _trace(out, bwd)
-    return out
+    return _node(np.take(x.data, index, axis=axis), (x,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        any(t.requires_grad for t in tensors),
-    )
     offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def bwd(g: np.ndarray) -> None:
         for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-            if t.requires_grad:
-                t._accum(piece)
+            t._accum(piece)
 
-    _trace(out, bwd)
-    return out
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
 def _row_sums(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,25 +367,21 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     into the gathered rows of ``weight.grad`` and records them in
     ``weight.grad_rows``."""
     ids = np.asarray(ids)
-    out = Tensor(weight.data[ids], weight.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         rows, sums = _row_sums(ids, g)
         weight._accum_rows(rows, sums.reshape(rows.shape + weight.shape[1:]))
 
-    _trace(out, bwd)
-    return out
+    return _node(weight.data[ids], (weight,), bwd)
 
 
 def masked_fill(x: Tensor, keep: np.ndarray, fill: float) -> Tensor:
     """Where ``keep`` is False, replace by ``fill``; gradient passes only where kept."""
-    out = Tensor(np.where(keep, x.data, fill), x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         x._accum(np.where(keep, g, 0.0))
 
-    _trace(out, bwd)
-    return out
+    return _node(np.where(keep, x.data, fill), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +392,11 @@ def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic function; backward uses y(1-y)."""
     z = np.exp(-np.abs(x.data))
     y = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    out = Tensor(y, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         x._accum(g * out.data * (1.0 - out.data))
 
-    _trace(out, bwd)
+    out = _node(y, (x,), bwd)
     return out
 
 
@@ -436,7 +405,6 @@ def gelu(x: Tensor) -> Tensor:
     cdf = erf(x.data / math.sqrt(2.0))
     cdf += 1.0
     cdf *= 0.5
-    out = Tensor(x.data * cdf, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
@@ -449,8 +417,7 @@ def gelu(x: Tensor) -> Tensor:
         d *= g
         x._accum(d)
 
-    _trace(out, bwd)
-    return out
+    return _node(x.data * cdf, (x,), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor:
@@ -463,7 +430,6 @@ def softmax(x: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor
         y -= np.max(y, axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
-    out = Tensor(y, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         d = g * out.data
@@ -473,7 +439,7 @@ def softmax(x: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor
             d *= keep  # a signed zero where masked, which accumulates as +0.0
         x._accum(d)
 
-    _trace(out, bwd)
+    out = _node(y, (x,), bwd)
     return out
 
 
@@ -486,26 +452,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat *= inv
     y = xhat * gain.data
     y += bias.data
-    out = Tensor(y, x.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.shape))
-        if x.requires_grad:
-            # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            tmp = dxhat * xhat
-            m2 = tmp.mean(axis=-1, keepdims=True)
-            dxhat -= m1
-            dxhat -= np.multiply(xhat, m2, out=tmp)
-            dxhat *= inv
-            x._accum(dxhat)
+        gain._accum(_unbroadcast(g * xhat, gain.shape))
+        bias._accum(_unbroadcast(g, bias.shape))
+        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        tmp = dxhat * xhat
+        m2 = tmp.mean(axis=-1, keepdims=True)
+        dxhat -= m1
+        dxhat -= np.multiply(xhat, m2, out=tmp)
+        dxhat *= inv
+        x._accum(dxhat)
 
-    _trace(out, bwd)
-    return out
+    return _node(y, (x, gain, bias), bwd)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -518,15 +479,13 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     factor = 1.0 / (1.0 - rate)
     y = x.data * keep
     y *= factor
-    out = Tensor(y, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         d = g * keep
         d *= factor
         x._accum(d)
 
-    _trace(out, bwd)
-    return out
+    return _node(y, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +509,11 @@ def bce_loss(p: Tensor, y: np.ndarray) -> Tensor:
     qc = np.clip(1.0 - p.data, PROB_EPS, 1.0)
     elem = -(y * np.log(pc) + (1.0 - y) * np.log(qc))
     denom = float(p.shape[0]) if p.ndim == 2 else 1.0
-    out = Tensor(elem.sum() / denom, p.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         p._accum(float(g) / denom * (-y / pc + (1.0 - y) / qc))
 
-    _trace(out, bwd)
-    return out
+    return _node(elem.sum() / denom, (p,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -195,19 +195,23 @@ def test_train_static_mode_recorded(tmp_path, corpus_files):
         pytest.param("--lr", None, "-1", None, id="flag-lr-negative"),
         pytest.param("--lr", None, "nan", None, id="flag-lr-nan"),
         pytest.param("--max-len", None, "1", None, id="flag-max-len-1"),
+        # ablate's loss curves need an epoch; train accepts 0
+        pytest.param("ablate --epochs", None, "0", None, id="ablate-flag-epochs-0"),
     ],
 )
 def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_run, capsys, flag, name, content, line):
+    command, _, flag = flag.rpartition(" ")  # "train" unless the case names its command
     if name is None:  # ``content`` is the flag's value, given after TINY_FLAGS so that it wins
-        code = main(["train", "--sparse", str(corpus_files["train_sparse"]), "--text", str(corpus_files["train_text"]),
-                     "--out-dir", str(tmp_path / "r"), *TINY_FLAGS, flag, content])
+        code = main([command or "train", "--sparse", str(corpus_files["train_sparse"]),
+                     "--text", str(corpus_files["train_text"]), "--out-dir", str(tmp_path / "r"), *TINY_FLAGS,
+                     flag, content])
         assert code == 2
         assert f"error: {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "r").exists()  # rejected before the run wrote anything
         return
     bad = tmp_path / name
     bad.write_bytes(content) if isinstance(content, bytes) else bad.write_text(content)
-    if flag == "predict --text":
+    if command == "predict":
         code = main(["predict", "--ckpt", str(trained_run / "final.ckpt"), "--text", str(bad)])
     elif flag == "--ckpt":
         # predict on a copy of a trained run whose manifest names the damaged vocab
@@ -218,7 +222,7 @@ def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_ru
         (run / "manifest.json").write_text(json.dumps(manifest))
         code = main(["predict", "--ckpt", str(run / "final.ckpt"), "--text", str(corpus_files["test_text"])])
     else:
-        code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
+        code = main([command or "train", "--sparse", str(corpus_files["train_sparse"]),
                      "--text", str(corpus_files["train_text"]),
                      "--out-dir", str(tmp_path / "r"), flag, str(bad), *TINY_FLAGS])
     assert code == 2
@@ -232,6 +236,28 @@ def test_directory_input_exit_2(tmp_path, corpus_files, capsys, flag):
                  "--out-dir", str(tmp_path / "r"), flag, str(tmp_path), *TINY_FLAGS])
     assert code == 2
     assert f"{tmp_path} is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--dev-sparse", "--clusters"])
+def test_label_count_differs_from_training_set_exit_2_before_writing(tmp_path, corpus_files, capsys, flag):
+    """A dev set or cluster map over another label count is refused at its
+    header before training starts and before vocab.txt is written."""
+    feature_dim = corpus_files["train_sparse"].read_text().split("\n", 1)[0].split()[1]
+    if flag == "--dev-sparse":
+        bad = tmp_path / "dev.txt"
+        bad.write_text(f"2 {feature_dim} 20\n0 1:1.0\n12 2:1.0\n")  # label 12 is outside the training set's 8
+        (tmp_path / "dev_raw.txt").write_text("topic0 word\ntopic1 word\n")
+        extra, labels = ["--dev-sparse", str(bad), "--dev-text", str(tmp_path / "dev_raw.txt")], 20
+    else:
+        bad = tmp_path / "map.txt"
+        bad.write_text("2 4 2 0\n0 1\n2 3\n")
+        extra, labels = ["--clusters", str(bad)], 4
+    out_dir = tmp_path / "r"
+    code = main(["train", "--sparse", str(corpus_files["train_sparse"]), "--text", str(corpus_files["train_text"]),
+                 *extra, "--out-dir", str(out_dir), *TINY_FLAGS])
+    assert code == 2
+    assert f"error: {bad}:1: header says {labels} labels, the training set has 8" in capsys.readouterr().err
+    assert not (out_dir / "vocab.txt").exists()
 
 
 @pytest.mark.parametrize("dev_flag", ["--dev-sparse", "--dev-text"])

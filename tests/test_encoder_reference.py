@@ -43,27 +43,24 @@ def _ref_linear(x, w, b):
 
 def _ref_gelu(x):
     cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
-    out = Tensor(x.data * cdf, x.requires_grad)
 
     def bwd(g):
         pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
         x._accum(g * (cdf + x.data * pdf))
 
-    t._trace(out, bwd)
-    return out
+    return t._node(x.data * cdf, (x,), bwd)
 
 
 def _ref_softmax(x, axis=-1):
     m = np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(x.data - m)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, x.requires_grad)
 
     def bwd(g):
         dot = (g * out.data).sum(axis=axis, keepdims=True)
         x._accum(out.data * (g - dot))
 
-    t._trace(out, bwd)
+    out = t._node(y, (x,), bwd)
     return out
 
 
@@ -72,7 +69,6 @@ def _ref_layer_norm(x, gain, bias, eps=1e-5):
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def bwd(g):
         if gain.requires_grad:
@@ -85,8 +81,7 @@ def _ref_layer_norm(x, gain, bias, eps=1e-5):
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             x._accum((dxhat - m1 - xhat * m2) * inv)
 
-    t._trace(out, bwd)
-    return out
+    return t._node(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
 def _ref_dropout(x, rate, training, rng):
@@ -94,13 +89,11 @@ def _ref_dropout(x, rate, training, rng):
         return x
     keep = rng.random(x.shape) >= rate
     factor = 1.0 / (1.0 - rate)
-    out = Tensor(x.data * keep * factor, x.requires_grad)
 
     def bwd(g):
         x._accum(g * keep * factor)
 
-    t._trace(out, bwd)
-    return out
+    return t._node(x.data * keep * factor, (x,), bwd)
 
 
 def _ref_encode(token_ids, mask, config, params, training, rng):

@@ -256,6 +256,17 @@ def test_checkpoint_truncated_record_names_its_byte(tmp_path):
     assert np.array_equal(loaded["ab"], np.arange(6.0).reshape(2, 3))
 
 
+def test_checkpoint_repeated_record_names_its_byte(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"a": np.ones(2), "b": np.zeros(3)})
+    blob = path.read_bytes()
+    # record "a" is bytes 8-28: name length, name, rank, one dim, two values
+    path.write_bytes(blob + blob[8:29])
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: record 'a' at byte {len(blob)} repeats an earlier one"
+
+
 HUGE = 2**32 - 1
 
 

@@ -79,15 +79,13 @@ def _reference_swa_update(state, params):
 
 def _reference_embedding(weight, ids):
     ids = np.asarray(ids)
-    out = t.Tensor(weight.data[ids], weight.requires_grad)
 
     def bwd(g):
         gw = np.zeros_like(weight.data)
         np.add.at(gw, ids, g)
         weight._accum(gw)
 
-    t._trace(out, bwd)
-    return out
+    return t._node(weight.data[ids], (weight,), bwd)
 
 
 # ---------------------------------------------------------------------------

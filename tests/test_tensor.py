@@ -1,7 +1,9 @@
 """Tensor-core unit tests: op semantics and finite-difference fidelity."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,13 +63,14 @@ def test_matmul_backward_matches_fd():
         rng = np.random.default_rng(0)
         a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        w = rng.normal(size=(3, 2))
+        w = T.constant(rng.normal(size=(3, 2)))
         with T.record() as tape:
             out = T.matmul(a, b)
-            loss = T.sum_all(T.mul(out, T.constant(w)))
+            loss = T.sum_all(T.mul(out, w))
             tape.backward(loss)
+        assert w.grad is None
         for p in (a, b):
-            fd = fd_grad(lambda: float(T.mul(T.matmul(a, b), T.constant(w)).data.sum()), p.data)
+            fd = fd_grad(lambda: float(T.mul(T.matmul(a, b), w).data.sum()), p.data)
             rel = np.abs(p.grad - fd) / np.maximum(1.0, np.abs(p.grad))
             assert rel.max() < 1e-4
 
@@ -265,12 +268,13 @@ def test_masked_softmax_backward_fd():
         rng = np.random.default_rng(4)
         x = T.Tensor(rng.normal(size=(3, 2, 4, 5)), requires_grad=True)
         keep = np.array([[1, 1, 0, 1, 0], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]], dtype=bool)[:, None, None, :]
-        w = rng.normal(size=(3, 2, 4, 5))
+        w = T.constant(rng.normal(size=(3, 2, 4, 5)))
 
         def forward():
-            return T.sum_all(T.mul(T.softmax(x, axis=-1, keep=keep), T.constant(w)))
+            return T.sum_all(T.mul(T.softmax(x, axis=-1, keep=keep), w))
 
         assert T.grad_check(forward, [x]) < 1e-4
+        assert w.grad is None
         assert np.all(np.broadcast_to(~keep, x.shape) <= (x.grad == 0.0))
 
 
@@ -281,13 +285,14 @@ def test_linear_backward_fd(shape):
         x = T.Tensor(rng.normal(size=shape), requires_grad=True)
         w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(5,)), requires_grad=True)
-        probe = rng.normal(size=shape[:-1] + (5,))
+        probe = T.constant(rng.normal(size=shape[:-1] + (5,)))
 
         def forward():
-            return T.sum_all(T.mul(T.linear(x, w, b), T.constant(probe)))
+            return T.sum_all(T.mul(T.linear(x, w, b), probe))
 
         assert np.allclose(T.linear(x, w, b).data, x.data @ w.data + b.data)
         assert T.grad_check(forward, [x, w, b]) < 1e-4
+        assert probe.grad is None
 
 
 def test_linear_shape_error_mentions_all_shapes():
@@ -301,12 +306,13 @@ def test_layer_norm_backward_fd():
         x = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         g = T.Tensor(rng.normal(size=(5,)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(5,)), requires_grad=True)
-        w = rng.normal(size=(3, 5))
+        w = T.constant(rng.normal(size=(3, 5)))
 
         def forward():
-            return T.sum_all(T.mul(T.layer_norm(x, g, b), T.constant(w)))
+            return T.sum_all(T.mul(T.layer_norm(x, g, b), w))
 
         assert T.grad_check(forward, [x, g, b]) < 1e-4
+        assert w.grad is None
 
 
 def test_embedding_scatter_locality():
@@ -322,16 +328,69 @@ def test_take_concat_transpose_roundtrip_grads():
     with verify_mode():
         rng = np.random.default_rng(9)
         x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        w = rng.normal(size=(2, 8))
+        w = T.constant(rng.normal(size=(2, 8)))
 
         def forward():
             first = T.take(x, 0, axis=1)
             swapped = T.transpose(x, (1, 0, 2))
             second = T.take(swapped, 1, axis=0)
             both = T.concat([first, second], axis=1)
-            return T.sum_all(T.mul(both, T.constant(w)))
+            return T.sum_all(T.mul(both, w))
 
         assert T.grad_check(forward, [x]) < 1e-4
+        assert w.grad is None
+
+
+# ---------------------------------------------------------------------------
+# the node rule: _node alone makes op outputs and tapes them
+
+
+def test_only_outputs_that_require_a_gradient_are_taped():
+    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    c = T.constant(np.full((2, 3), 2.0))
+    with T.record() as tape:
+        const = T.mul(c, c)
+        assert len(tape) == 0 and not const.requires_grad
+        out = T.mul(x, c)
+        assert len(tape) == 1 and out.requires_grad
+        tape.backward(T.sum_all(out))
+    assert c.grad is None and const.grad is None
+    assert np.array_equal(x.grad, c.data)
+
+
+OPS = ("matmul", "linear", "add", "add_n", "mul", "scale", "sum_all", "reshape", "transpose", "take", "concat",
+       "embedding", "masked_fill", "sigmoid", "gelu", "softmax", "layer_norm", "dropout", "bce_loss")
+
+
+def test_node_rule_is_kept_in_one_place():
+    """Parse tensor.py: only ``_node`` appends to a tape, only Tape and
+    ``_node`` touch its nodes, no backward closure reads ``requires_grad``,
+    and the ops, the functions with a backward closure, are exactly those
+    that return through ``_node``."""
+    tree = ast.parse(Path(T.__file__).read_text(encoding="utf-8"))
+    outer = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    outer.update((f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef))
+
+    def attributes(fn):
+        return [n for n in ast.walk(fn) if isinstance(n, ast.Attribute)]
+
+    def calls(fn, name):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name for n in ast.walk(fn))
+
+    appends = [name for name, fn in outer.items()
+               if any(a.attr == "append" and isinstance(a.value, ast.Attribute) and a.value.attr == "_nodes"
+                      for a in attributes(fn))]
+    assert appends == ["_node"]
+    touch = {name for name, fn in outer.items() if any(a.attr == "_nodes" for a in attributes(fn))}
+    assert touch == {"Tape.__init__", "Tape.__len__", "Tape.backward", "_node"}
+    closures = {name: [n for n in ast.walk(fn) if isinstance(n, ast.FunctionDef) and n is not fn]
+                for name, fn in outer.items()}
+    for name, inner in closures.items():
+        assert not any(a.attr == "requires_grad" for bwd in inner for a in attributes(bwd)), name
+    with_backward = {name for name, inner in closures.items() if inner}
+    assert with_backward == {name for name, fn in outer.items() if calls(fn, "_node")} == set(OPS)
+    assert not any(calls(outer[name], "Tensor") for name in OPS)
 
 
 # ---------------------------------------------------------------------------
