@@ -199,6 +199,20 @@ def _write_manifest(path: Path, command: str, config: TrainConfig | None, inputs
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _check_out(flag: str, path_str: str | None, folder: bool = False) -> Path | None:
+    """``flag``'s output path, refused before any input is read if it cannot be written: a file's
+    folder must exist and the file must not be a folder; an out-dir must be a folder or be creatable."""
+    if path_str is None:
+        return None
+    path = Path(path_str)
+    existing = next(p for p in (path, *path.parents) if p.exists()) if folder else path.parent
+    if folder and not existing.is_dir():
+        raise UsageError(f"{flag} {path}: {existing} is not a directory")
+    if not folder and (path.is_dir() or not existing.is_dir()):
+        raise UsageError(f"{flag} {path}: " + ("is a directory" if path.is_dir() else f"no directory {existing}"))
+    return path
+
+
 def _require_file(path_str: str | None, what: str) -> Path:
     if not path_str:
         raise UsageError(f"missing required {what}")
@@ -212,14 +226,17 @@ def _require_file(path_str: str | None, what: str) -> Path:
 # dataset assembly shared by train / ablate
 
 
-def _load_train_data(args, config: TrainConfig):
-    """(out dir, train set, dev set or None, vocab, input paths) from the train/ablate flags."""
+def _load_train_data(args, config: TrainConfig, cmap: ClusterMap | None = None):
+    """(out dir, train set, dev set or None, vocab, input paths) from the train/ablate flags; a
+    ``cmap`` over another label count is refused before anything is written."""
     if not args.out_dir:
         raise UsageError(f"{args.command} requires --out-dir")
-    out_dir = Path(args.out_dir)
+    out_dir, corpus = Path(args.out_dir), make_synthetic_corpus(seed=config.seed) if args.synth else None
+    if corpus is not None and cmap is not None:
+        _check_label_count(args.clusters, cmap.num_labels, corpus.num_labels)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.synth:
-        paths = make_synthetic_corpus(seed=config.seed).write(out_dir / "data")
+    if corpus is not None:
+        paths = corpus.write(out_dir / "data")
         inputs = {"sparse": paths["train_sparse"], "text": paths["train_text"],
                   "dev_sparse": paths["test_sparse"], "dev_text": paths["test_text"]}
     else:
@@ -272,8 +289,8 @@ def _load_run(ckpt_path: Path, b_top: int | None, weights: str):
 def cmd_cluster(args) -> int:
     seed = TrainConfig.seed if args.seed is None else _coerce("--seed", "seed", args.seed)
     max_size = _coerce("--max-size", "cluster_size", args.max_size)
+    out = _check_out("--out", args.out)
     sparse = _require_file(args.sparse, "--sparse training file")
-    out = Path(args.out)
     dataset = load_dataset(sparse, split="train")
     reps = build_label_reps(dataset)
     cmap = build_cluster_map(reps, max_size, seed)
@@ -293,13 +310,12 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out("--out-dir", args.out_dir, folder=True)
     config = resolve_train_config(args)
-    out_dir, train_ds, dev_ds, vocab, inputs = _load_train_data(args, config)
-
-    cmap = None
-    if args.clusters:
-        inputs["clusters"] = _require_file(args.clusters, "--clusters map file")
-        cmap = ClusterMap.load(inputs["clusters"])
+    cmap = ClusterMap.load(_require_file(args.clusters, "--clusters map file")) if args.clusters else None
+    out_dir, train_ds, dev_ds, vocab, inputs = _load_train_data(args, config, cmap)
+    if cmap is not None:
+        inputs["clusters"] = Path(args.clusters)
         _check_label_count(inputs["clusters"], cmap.num_labels, train_ds.num_labels)
 
     vocab_path = out_dir / "vocab.txt"
@@ -330,6 +346,7 @@ def _check_ks(ks) -> None:
 
 def cmd_predict(args) -> int:
     _check_ks([args.k])
+    out_path = _check_out("--out", args.out)
     ckpt = _require_file(args.ckpt, "--ckpt checkpoint")
     text = _require_file(args.text, "--text input file")
     bundle, config, vocab, b_top = _load_run(ckpt, args.b_top, args.weights)
@@ -339,7 +356,6 @@ def cmd_predict(args) -> int:
 
     # checked before --out is touched, so a bad value leaves an old file as it was
     check_b_top(b_top, bundle.cluster_map.num_clusters)
-    out_path = Path(args.out) if args.out else None
     with atomic_write(out_path) if out_path else contextlib.nullcontext(sys.stdout) as sink:
         for batch in batch_iter(dataset, BATCH_SIZE, seed=0, shuffle=False):
             for pred in predict_batch(batch.token_ids, batch.mask, bundle, b_top, args.k):
@@ -391,6 +407,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_out("--out-dir", args.out_dir, folder=True)
     config = resolve_train_config(args)
     out_dir, train_ds, test_ds, vocab, inputs = _load_train_data(args, config)
     if test_ds is None:

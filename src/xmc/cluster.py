@@ -4,10 +4,13 @@ Labels are represented by the L2-normalized sum of the sparse features of
 the training documents that carry them, then recursively bisected with a
 balanced 2-means (cosine similarity) until every leaf holds at most ``s``
 labels.  Leaves become clusters, numbered in depth-first order, left first.
-Each node reads only its own entries of the (L, D) reps, on its columns
-renumbered to a compact range, as PECOS's hierarchical k-means does; every
-margin, centroid and seed cosine is summed in the order of scipy's products
-over all D columns, so the maps are those of that full-width build.
+The tree grows a depth at a time, as PECOS builds its hierarchical k-means:
+one batched 2-means splits all nodes of a depth, each on its own entries
+and columns.  Margins, centroids and seed cosines add in the order of
+scipy's products over all D columns, each centroid's norm adds its own
+columns in the order numpy's pairwise ``.sum()`` adds a dense (D,) vector,
+and an exact top-k selection breaks ties by label id as a stable sort
+does, so the maps are those of the node-by-node full-width build.
 
 Cluster sizes target the bound s/2 < size <= s.  Exact halving cannot
 always respect the lower bound (a node of 9 labels with s=8 can only split
@@ -154,72 +157,146 @@ def _stack(rows, values, width: int) -> sp.csr_array:
     return sp.csr_array((data, indices, indptr), shape=(len(rows), width))
 
 
-def _seed_gram(cols: np.ndarray, data: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Gram matrix of ``k`` sparse rows (ascending column ids), +inf on and below the diagonal;
-    each pair sums its shared columns in ascending order from 0.0, as scipy's CSR product does."""
-    k = len(counts)
-    by_col = np.argsort(cols, kind="stable")  # rows stay ascending within a column
-    row, col, val = np.repeat(np.arange(k), counts)[by_col], cols[by_col], data[by_col]
-    # each entry pairs with the later entries of its column: the upper triangle only
-    later = np.searchsorted(col, col, side="right") - np.arange(len(col)) - 1
-    first = np.repeat(np.arange(len(col)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    sums = np.bincount(row[first] * k + row[second], val[first] * val[second], minlength=k * k)
-    gram = sums.reshape(k, k).astype(np.float64)  # int zeros if no pair shares a column
-    gram[np.tri(k, dtype=bool)] = np.inf
+def _sum_tree(cols: np.ndarray, dim):
+    """Where numpy's ``.sum()`` of a dense float64 vector of ``dim`` values adds each of ``cols``:
+    its block's left-aligned path (a bit per split, 1 for right), its lane (8: the block's tail)
+    and the number of splits.  A span over 128 long splits at half its length rounded down to a
+    multiple of 8; a block of 8 to 128 adds element i into lane i % 8, joins the lanes as
+    ((0+1)+(2+3))+((4+5)+(6+7)) and adds its last n % 8 elements in turn; a shorter block adds
+    its elements in turn."""
+    lo, n, path, depth = np.zeros_like(cols), np.full_like(cols, dim), np.zeros_like(cols), 0
+    while (n > 128).any():
+        half = np.where(n > 128, n // 16 * 8, n)  # a block's "left half" is all of it
+        right = cols >= lo + half
+        lo, n, path, depth = lo + half * right, np.where(right, n - half, half), 2 * path + right, depth + 1
+    return path, np.where(cols - lo < n - n % 8, (cols - lo) % 8, 8), depth
+
+
+def _dense_sums(group: np.ndarray, tree, num_groups: int):
+    """The map from ``values`` (rows of entries sorted by group, then column; all >= 0) to, per
+    row and group, the ``.sum()`` of the dense vector holding them where ``tree`` (:func:`_sum_tree`
+    of the columns) puts them and 0.0 elsewhere, bit for bit: adding 0.0 to such sums is exact."""
+    path, lane, depth = tree
+    key = group.astype(np.int64) << depth | path  # each entry's block
+    first = np.diff(key, prepend=-1) != 0
+    block, key, main, tail = np.cumsum(first) - 1, key[first], np.flatnonzero(lane < 8), np.flatnonzero(lane == 8)
+    blocks, bins, joins = len(key), (block[main] * 8 + lane[main]).astype(np.int32), []
+    rest = np.append(np.arange(blocks), block[tail]).astype(np.int32)  # a block's lanes, then its tail in turn
+    main, tail = main.astype(np.int32), tail.astype(np.int32)
+    for _ in range(depth):  # sibling spans, deepest first
+        key >>= 1
+        joins.append(np.flatnonzero(np.diff(key, prepend=-1)).astype(np.int32))
+        key = key[joins[-1]]
+
+    def block_sums(v: np.ndarray) -> np.ndarray:
+        r = np.bincount(bins, v[main], minlength=8 * blocks).reshape(-1, 8)
+        lanes = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+        return np.bincount(rest, np.append(lanes, v[tail]))
+
+    def sums(values: np.ndarray) -> np.ndarray:
+        out = np.stack([block_sums(v) for v in values])
+        for starts in joins:
+            out = np.add.reduceat(out, starts, axis=1)
+        full = np.zeros((len(values), num_groups))
+        full[:, key] = out
+        return full
+    return sums
+
+
+def _select(node: np.ndarray, key: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """Per node, whether each row is among the ``take[node]`` (>= 1) rows a stable sort of the
+    node's rows on ``key`` (finite) puts first; ``node`` ascends through all of [0, len(take))."""
+    counts, groups = np.bincount(node, minlength=len(take)), np.arange(len(take))
+    start = np.cumsum(counts) - counts
+    grid = np.full((len(take), counts.max() + 1), np.inf)  # each node's keys, sorted, then inf
+    grid[node, np.arange(len(node)) - start[node]] = key
+    grid.sort(axis=1)
+    cut = grid[groups, take - 1][node]  # each node's take-th key; of the rows equal to it, the first count
+    if (grid[groups, take] != grid[groups, take - 1]).all():  # no row past the cut ties it
+        return key <= cut
+    ties = np.cumsum(key == cut)
+    rank = ties - (ties - (key == cut))[start][node]  # 1 for a node's first row at its cut
+    return (key < cut) | ((key == cut) & (rank <= (take - np.bincount(node[key < cut], minlength=len(take)))[node]))
+
+
+def _seed_gram(seeds: sp.csr_array, sizes: np.ndarray) -> np.ndarray:
+    """Gram matrices of groups of ``sizes`` rows of ``seeds`` (no column shared between groups),
+    by scipy's product, each (k, k) flattened in turn, +inf on the diagonal: a pair shows first
+    above it, so a group's first minimum is its first minimal pair in row-major order."""
+    base, k = np.repeat(np.cumsum(sizes**2) - sizes**2, sizes), np.repeat(sizes, sizes)
+    local = np.arange(len(k)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # row within its group
+    pairs, gram = (seeds @ seeds.T).tocoo(), np.zeros((sizes**2).sum())
+    gram[(base + local * k)[pairs.row] + local[pairs.col]] = pairs.data
+    gram[base + local * (k + 1)] = np.inf
     return gram
 
 
-def _bisect(reps: sp.csr_array, rows: np.ndarray, left_size: int, rng_key: list[int], scratch: np.ndarray):
-    """One balanced 2-means pass over ``rows`` (ascending); the top ``left_size`` go left.
+def _two_means(rows: np.ndarray, node: np.ndarray, take: np.ndarray, ids: np.ndarray, seed: int, entries):
+    """Which ``rows`` (non-empty reps, ascending in each node; ``node`` ascends from 0) go left in
+    one batched balanced 2-means, ``take[node]`` of each node.  ``x`` holds the rows on their
+    nodes' columns, each node's numbered in order as its slots, and ``xt`` is its transpose, so
+    every product adds what the node alone would, in the same order.  ``entries``: the reps, their
+    entries' ids and rows by column, then row, and :func:`_sum_tree` of their columns."""
+    reps, by_col, label_of, (path, lane, depth) = entries
+    at = np.full(reps.shape[0], -1, dtype=np.int32)
+    at[rows] = np.arange(len(rows))
+    order = np.flatnonzero(at[label_of] >= 0)
+    row_of = at[label_of[order]]
+    by_node = np.argsort(node.astype(np.min_scalar_type(len(take)))[row_of], kind="stable")
+    order, row_of = order[by_node], row_of[by_node]  # the nodes' entries by (node, column, row)
+    del at, by_node  # entry-length arrays set the build's peak memory: hold only those still read
+    col = reps.indices[by_col[order]]
+    first = np.flatnonzero((np.diff(node[row_of], prepend=-1) != 0) | (np.diff(col, prepend=-1) != 0))
+    xt = sp.csr_array((reps.data[by_col[order]], row_of, np.append(first, len(order)).astype(np.int32)),
+                      shape=(len(first), len(rows)))
+    x, slot_node = xt.T.tocsr(), node[row_of[first]].astype(np.int32)
+    path, lane = path[order[first]], lane[order[first]]
+    del order, row_of, col, first
+    # seeds: per node, the sampled pair with minimal mutual cosine, first in row-major order
+    sizes = np.bincount(node)
+    k, start = np.minimum(INIT_SAMPLE, sizes), np.cumsum(sizes) - sizes
+    picked = (sizes <= INIT_SAMPLE)[node]  # a sample of every row, in any order, is every row
+    for j in np.flatnonzero(sizes > INIT_SAMPLE):
+        rng = np.random.default_rng([seed, int(ids[j])])
+        picked[start[j] + rng.choice(sizes[j], INIT_SAMPLE, replace=False)] = True
+    sample, ends, pair = np.flatnonzero(picked), np.cumsum(k), np.empty((2, len(k)), dtype=np.int64)
+    for a, b in _runs(np.cumsum(k**2) - k**2 >> 16):  # about 2**16 pairs at a time
+        base = np.cumsum(k[a:b] ** 2) - k[a:b] ** 2
+        gram = _seed_gram(x[sample[ends[a] - k[a]:ends[b - 1]]], k[a:b])
+        least = np.flatnonzero(gram == np.repeat(np.minimum.reduceat(gram, base), k[a:b] ** 2))
+        pair[:, a:b] = sample[ends[a:b] - k[a:b] + np.divmod(least[np.searchsorted(least, base)] - base, k[a:b])]
+    centroids = np.zeros((2, len(path)))
+    for target, r in zip(centroids, pair):
+        entry = np.repeat(np.isin(np.arange(len(rows)), r), np.diff(x.indptr))  # the entries of rows r
+        target[x.indices[entry]] = x.data[entry]
+    diff, centroids = centroids[1] - centroids[0], None  # a row's margin, negated: ascending keys to select
+    norm_sums = _dense_sums(slot_node, (path, lane, depth), len(take))
+    in_left, live, live_slots = np.zeros(len(rows), dtype=bool), np.arange(len(rows)), np.arange(len(path))
+    prev = np.full(len(rows), -1)  # equal to no split
+    for _ in range(MAX_ITERS):
+        side = _select(node, x @ diff, take)
+        in_left[live] = side
+        stop = np.bincount(node, side != prev, minlength=len(take)) == 0
+        if stop.all():
+            break
+        if 4 * stop[node].sum() >= len(node):  # a stopped node repeats its split: drop those at a quarter of the rows
+            row_go, slot_go, renumber, norm_sums = ~stop[node], ~stop[slot_node], np.cumsum(~stop) - 1, None
+            x, xt, live, live_slots, side = x[row_go], xt[slot_go], live[row_go], live_slots[slot_go], side[row_go]
+            node, slot_node = renumber[node[row_go]], renumber[slot_node[slot_go]]
+            path, lane = path[slot_go], lane[slot_go]
+            take, norm_sums = take[~stop], _dense_sums(slot_node, (path, lane, depth), (~stop).sum())
+        prev, left, centroids = side, in_left.astype(np.float64), None
+        centroids = np.stack([xt @ left, xt @ (1.0 - left)])
+        norms = np.sqrt(norm_sums(centroids**2))  # as numpy sums the dense (D,) centroids
+        norms[norms == 0] = 1.0
+        diff[live_slots] = centroids[1] / norms[1][slot_node] - centroids[0] / norms[0][slot_node]
+    return in_left
 
-    Ordering per iteration: non-zero reps first by cosine margin descending,
-    zero reps last, ties by ascending label id.  ``reps`` rows hold ascending
-    column ids; ``scratch`` holds D zeros, and holds them again on return.
-    """
-    begin = reps.indptr[rows]
-    counts = reps.indptr[rows + 1] - begin
-    is_zero = counts == 0
-    nonzero = np.flatnonzero(~is_zero)
-    # without a seed pair every margin is 0; stable sorts break ties by label id
-    order = np.argsort(is_zero, kind="stable")
-    if len(nonzero) >= 2:
-        offset = np.cumsum(counts) - counts  # row starts in the node's arrays
-        at = np.arange(offset[-1] + counts[-1]) + np.repeat(begin - offset, counts)  # its entries in reps, row by row
-        data, local = reps.data[at], reps.indices[at]
-        del at  # entry-length arrays set the build's peak memory: hold only those the loop reads
-        cols = np.unique(local)  # renumbered through ``scratch``, not by sorting the entries
-        scratch[cols] = np.arange(len(cols))
-        local, dim = scratch[local].astype(np.intp), len(cols)
-        scratch[cols] = 0.0
-        row_of = np.repeat(np.arange(len(rows)), counts)
-        # seeds: the sampled pair with minimal mutual cosine, first in row-major order
-        k = min(INIT_SAMPLE, len(nonzero))
-        sample = np.sort(np.random.default_rng(rng_key).choice(nonzero, size=k, replace=False))
-        picked = np.isin(row_of, sample)
-        a, b = divmod(int(np.argmin(_seed_gram(local[picked], data[picked], counts[sample]))), k)
-        centroids = np.zeros((2, dim))
-        for target, r in zip(centroids, sample[[a, b]]):
-            span = slice(offset[r], offset[r] + counts[r])
-            target[local[span]] = data[span]
 
-        prev = None
-        for _ in range(MAX_ITERS):
-            margins = np.bincount(row_of, data * (centroids[0] - centroids[1])[local], minlength=len(rows))
-            order = np.lexsort((-margins, is_zero))
-            in_left = np.zeros(len(rows), dtype=bool)
-            in_left[order[:left_size]] = True
-            if prev is not None and np.array_equal(in_left, prev):
-                break
-            prev = in_left
-            centroids = np.bincount(local + dim * ~in_left[row_of], data, minlength=2 * dim).reshape(2, dim)
-            for target in centroids:  # norms summed over D columns, in numpy's order for a dense centroid
-                scratch[cols] = target**2
-                norm = np.sqrt(scratch.sum())
-                scratch[cols] = 0.0
-                if norm > 0:
-                    target /= norm
-    return np.sort(rows[order[:left_size]]), np.sort(rows[order[left_size:]])
+def _runs(groups: np.ndarray):
+    """(start, end) of each run of equal values in ``groups``."""
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    return zip(starts.tolist(), np.append(starts[1:], len(groups)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +340,38 @@ def build_cluster_map(reps: sp.csr_array, s: int, seed: int) -> ClusterMap:
     if s == 1:
         return ClusterMap(np.arange(num_labels), s, seed)
 
-    assign = np.empty(num_labels, dtype=np.int64)
-    num_leaves = 0  # leaves are numbered in the order they are reached
-    scratch = np.zeros(reps.shape[1])  # _bisect's working row of width D, zero between nodes
-    stack = [(np.arange(num_labels, dtype=np.int64), 1)]  # (rows, node id), taken depth first, left first
-    while stack:
-        rows, node_id = stack.pop()
-        if len(rows) <= s:
-            assign[rows] = num_leaves
-            num_leaves += 1
-            continue
-        left, right = _bisect(reps, rows, _choose_left_size(len(rows), s), [seed, node_id], scratch)
-        stack += [(right, 2 * node_id + 1), (left, 2 * node_id)]
-    return ClusterMap(assign, s, seed)
+    by_col = np.argsort(reps.indices, kind="stable").astype(np.int32)  # the entries by column, then row
+    cols = reps.indices[by_col]
+    first = np.diff(cols, prepend=-1) != 0
+    path, lane, tree_depth = _sum_tree(cols[first].astype(np.int32), reps.shape[1])  # once per column
+    at, label_of = np.cumsum(first) - 1, np.repeat(np.arange(num_labels, dtype=np.int32), np.diff(reps.indptr))
+    entries = reps, by_col, label_of[by_col], (path[at], lane[at].astype(np.int16), tree_depth)
+    del cols, first, at, label_of, path, lane
+    leaf, depth_of = np.empty(num_labels, dtype=np.int64), np.empty(num_labels, dtype=np.int8)
+    rows, ids, sizes, depth = np.arange(num_labels), np.ones(1, dtype=np.int64), np.array([num_labels]), 0
+    while True:  # a depth at a time: the nodes in id order, each node's rows ascending
+        done = np.repeat(sizes <= s, sizes)
+        leaf[rows[done]], depth_of[rows[done]] = np.repeat(ids, sizes)[done], depth
+        if done.all():  # leaves numbered depth first, left first: in the order of their left-aligned paths
+            return ClusterMap(np.unique(leaf << (depth - depth_of), return_inverse=True)[1], s, seed)
+        rows, ids, sizes = rows[~done], ids[sizes > s], sizes[sizes > s]
+        choices, which = np.unique(sizes, return_inverse=True)
+        left_sizes = np.array([_choose_left_size(int(p), s) for p in choices])[which]
+        node, nonzero = np.repeat(np.arange(len(sizes)), sizes), reps.indptr[rows + 1] > reps.indptr[rows]
+        in_left = _select(node, ~nonzero, left_sizes)  # without a seed pair: non-zero reps first, by label id
+        counts = np.bincount(node[nonzero], minlength=len(sizes))
+        if (live := nonzero & (counts >= 2)[node]).any():
+            active, at = np.unique(node[live], return_inverse=True)
+            take, live = np.minimum(left_sizes, counts)[active], np.flatnonzero(live)
+            # batches of whole nodes bound the memory of the deep levels, rich in slots and seed pairs
+            weight = np.bincount(at, np.diff(reps.indptr)[rows[live]]) + np.minimum(counts[active], INIT_SAMPLE) ** 2
+            for a, b in _runs((np.cumsum(weight) - weight) // (reps.nnz + INIT_SAMPLE**3)):
+                part = slice(*np.searchsorted(at, [a, b]))
+                rows_b, node_b = rows[live[part]], at[part] - a
+                in_left[live[part]] = _two_means(rows_b, node_b, take[a:b], ids[active[a:b]], seed, entries)
+        rows = rows[np.argsort(2 * node + ~in_left, kind="stable")]
+        ids, sizes = np.stack([2 * ids, 2 * ids + 1], 1).ravel(), np.stack([left_sizes, sizes - left_sizes], 1).ravel()
+        depth += 1
 
 
 def cluster_targets(labels, cmap: ClusterMap) -> np.ndarray:

@@ -20,7 +20,8 @@ def golden_cluster_maps():
     """sha256 of ``ClusterMap.save`` bytes, frozen from the dict-based clustering
     that preceded the scipy.sparse label reps (same inputs, same seeds);
     ``zipf_s8_seed11`` from the full-width scipy build that preceded the
-    per-node one."""
+    per-node one (L = 4096) and from the per-node build that preceded the
+    level-by-level one (L = 16384)."""
     return json.loads(GOLDEN_CLUSTER_MAPS.read_text(encoding="utf-8"))
 
 

@@ -106,6 +106,35 @@ def test_negative_seed_exit_2_naming_the_flag(tmp_path, corpus_files, capsys, co
     assert not t.verify_enabled() and not (tmp_path / "m.txt").exists()
 
 
+# each output flag that cannot be written: (command, flag, path under tmp_path, what follows
+# "<flag> <path>: " in the message, with {tmp} for tmp_path).  Every input given is broken, so a
+# run that read one first would fail naming that input instead.
+_BAD_OUTPUTS = {
+    "cluster-out-no-folder": ("cluster", "--out", "nodir/map.txt", "no directory {tmp}/nodir"),
+    "cluster-out-folder": ("cluster", "--out", "folder", "is a directory"),
+    "predict-out-no-folder": ("predict", "--out", "nodir/preds.txt", "no directory {tmp}/nodir"),
+    "predict-out-folder": ("predict", "--out", "folder", "is a directory"),
+    "train-out-dir-file": ("train", "--out-dir", "file.txt", "{tmp}/file.txt is not a directory"),
+    "train-out-dir-under-file": ("train", "--out-dir", "file.txt/run", "{tmp}/file.txt is not a directory"),
+    "ablate-out-dir-file": ("ablate", "--out-dir", "file.txt", "{tmp}/file.txt is not a directory"),
+}
+
+
+@pytest.mark.parametrize("command, flag, name, message", _BAD_OUTPUTS.values(), ids=_BAD_OUTPUTS)
+def test_unwritable_output_exit_2_before_reading_inputs(tmp_path, capsys, command, flag, name, message):
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "file.txt").write_text("not a folder\n")
+    broken = tmp_path / "broken.txt"
+    broken.write_text("epochs=abc\n2 x\n")
+    inputs = {"cluster": ["--sparse", str(broken), "--max-size", "2"],
+              "predict": ["--ckpt", str(tmp_path / "absent.ckpt"), "--text", str(broken)],
+              "train": ["--config", str(broken), "--synth"],
+              "ablate": ["--config", str(broken), "--synth"]}[command]
+    assert main([command, *inputs, flag, str(tmp_path / name)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} {tmp_path / name}: {message.format(tmp=tmp_path)}\n"
+    assert (tmp_path / "file.txt").is_file() and not list((tmp_path / "folder").iterdir())
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -258,6 +287,17 @@ def test_label_count_differs_from_training_set_exit_2_before_writing(tmp_path, c
     assert code == 2
     assert f"error: {bad}:1: header says {labels} labels, the training set has 8" in capsys.readouterr().err
     assert not (out_dir / "vocab.txt").exists()
+
+
+def test_synth_cluster_map_label_count_exit_2_before_writing(tmp_path, capsys):
+    """A --clusters map over another label count than the generated corpus's is refused
+    before the corpus is written to the out-dir."""
+    bad = tmp_path / "map.txt"
+    bad.write_text("2 4 2 0\n0 1\n2 3\n")
+    out_dir = tmp_path / "r"
+    assert main(["train", "--synth", "--preset", "synth-64", "--clusters", str(bad), "--out-dir", str(out_dir)]) == 2
+    assert f"error: {bad}:1: header says 4 labels, the training set has 64" in capsys.readouterr().err
+    assert not (out_dir / "data").exists() and not (out_dir / "vocab.txt").exists()
 
 
 @pytest.mark.parametrize("dev_flag", ["--dev-sparse", "--dev-text"])

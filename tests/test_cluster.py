@@ -8,13 +8,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xmc import cluster
 from xmc.cluster import (
     INIT_SAMPLE,
     MAX_ITERS,
     ClusterMap,
     _choose_left_size,
+    _dense_sums,
     _row_norms,
     _seed_gram,
+    _select,
+    _sum_tree,
     bound_feasible,
     build_cluster_map,
     build_label_reps,
@@ -409,13 +413,21 @@ def test_zipf_cluster_map_matches_golden(golden_cluster_maps, cluster_map_digest
     assert cluster_map_digest(cmap) == golden_cluster_maps["zipf_s8_seed11"]["4096"]
 
 
+def test_deep_zipf_cluster_map_matches_golden(golden_cluster_maps, cluster_map_digest):
+    # eleven levels of splits, the deeper ones run in several batches of nodes
+    reps = build_label_reps(_zipf_dataset(num_labels=16384, n_docs=12000, seed=11))
+    cmap = build_cluster_map(reps, s=8, seed=11)
+    assert cluster_map_digest(cmap) == golden_cluster_maps["zipf_s8_seed11"]["16384"]
+
+
 # ---------------------------------------------------------------------------
-# the per-node build against scipy products over the whole (L, D) matrix
+# the level-by-level build against a node-by-node build on scipy products over the whole (L, D) matrix
 
 
-def _reference_cluster_assign(reps, s, seed):
+def _reference_cluster_assign(reps, s, seed, max_iters=MAX_ITERS):
     """The build as it ran before each node worked on its own columns: scipy
-    row slices and products over all D columns, dense centroids of width D."""
+    row slices and products over all D columns, dense centroids of width D,
+    node by node, depth first."""
     leaves = []
 
     def recurse(rows, node_id):
@@ -439,7 +451,7 @@ def _reference_cluster_assign(reps, s, seed):
             a, b = divmod(int(np.argmin(gram)), k)
             c_left, c_right = sub[[sample[a]]].toarray()[0], sub[[sample[b]]].toarray()[0]
             prev = None
-            for _ in range(MAX_ITERS):
+            for _ in range(max_iters):
                 order = np.lexsort((rows, -(sub @ (c_left - c_right)), is_zero))
                 in_left = np.zeros(n, dtype=bool)
                 in_left[order[:left_size]] = True
@@ -490,6 +502,21 @@ def test_build_matches_full_width_reference(reps, s, seed):
     assert np.array_equal(build_cluster_map(reps, s, seed).assign, _reference_cluster_assign(reps, s, seed))
 
 
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_build_matches_full_width_reference_when_nodes_stop_unconverged(monkeypatch, max_iters):
+    # a node that has not converged after MAX_ITERS keeps its last split, while the
+    # nodes of its depth that converged earlier keep theirs
+    monkeypatch.setattr(cluster, "MAX_ITERS", max_iters)
+
+    @settings(max_examples=40, deadline=None)
+    @given(reps=_sparse_reps(), s=st.integers(2, 16), seed=st.integers(0, 1000))
+    def check(reps, s, seed):
+        want = _reference_cluster_assign(reps, s, seed, max_iters)
+        assert np.array_equal(build_cluster_map(reps, s, seed).assign, want)
+
+    check()
+
+
 @settings(max_examples=60, deadline=None)
 @given(reps=_sparse_reps(), seed=st.integers(0, 2**32 - 1))
 def test_compact_margins_equal_scipy_matvec_bitwise(reps, seed):
@@ -502,31 +529,68 @@ def test_compact_margins_equal_scipy_matvec_bitwise(reps, seed):
     assert np.array_equal(compact.view(np.int64), (reps @ x).view(np.int64))
 
 
-@settings(max_examples=60, deadline=None)
-@given(dim=st.integers(1, 70000), nnz=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
-def test_scattered_norm_equals_dense_norm(dim, nnz, seed):
-    # a centroid on the node's columns, scattered into D zeros, sums as the dense (D,) centroid does
+_DIMS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.sampled_from([128, 129, 136]), st.integers(1, 70000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=_DIMS, supports=st.lists(st.integers(0, 400), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_scattered_norm_equals_dense_norm(dim, supports, seed):
+    # each centroid's squares summed over its own columns, several centroids at once,
+    # equal the sum numpy's .sum() makes of the dense (D,) centroid, bit for bit
     rng = np.random.default_rng(seed)
-    cols = np.sort(rng.choice(dim, size=min(dim, nnz), replace=False))
-    centroid = np.zeros(dim)
-    centroid[cols] = rng.normal(size=len(cols)) * 10.0 ** rng.integers(-4, 4, size=len(cols))
-    scratch = np.zeros(dim)
-    scratch[cols] = centroid[cols] ** 2
-    assert np.sqrt(scratch.sum()) == np.sqrt((centroid**2).sum())
+    dense = np.zeros((len(supports), dim))
+    group, cols = [], []
+    for g, nnz in enumerate(supports):
+        support = np.sort(rng.choice(dim, size=min(dim, nnz), replace=False))
+        dense[g, support] = rng.normal(size=len(support)) * 10.0 ** rng.integers(-4, 4, size=len(support))
+        group += [g] * len(support)
+        cols += support.tolist()
+    group, cols = np.array(group, dtype=np.int64), np.array(cols, dtype=np.int64)
+    values = np.stack([dense[group, cols], dense[group, cols][::-1]]) ** 2
+    got = _dense_sums(group, _sum_tree(cols, dim), len(supports))(values)
+    other = np.zeros_like(dense)
+    other[group, cols] = values[1]
+    want = np.stack([[(row**2).sum() for row in dense], [row.sum() for row in other]])
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1),
+       values=st.sampled_from([(-0.0, 0.0, 1.0, -1.0), (0.5,), (-0.0, 0.0), (1e-300, -1e-300, 2.0)]))
+def test_select_equals_stable_sort_first_take(sizes, seed, values):
+    # ties, -0.0 against +0.0, and flags of zero reps as keys: each node's first ``take``
+    # rows under a stable sort, ties by position
+    rng = np.random.default_rng(seed)
+    node = np.repeat(np.arange(len(sizes)), sizes)
+    take = np.array([int(rng.integers(1, n + 1)) for n in sizes])
+    for key in (rng.choice(values, size=len(node)) * rng.choice([1.0, -1.0], size=len(node)),
+                rng.random(len(node)) < 0.4):
+        want = np.zeros(len(node), dtype=bool)
+        for g, start in enumerate(np.cumsum(sizes) - sizes):
+            want[start + np.argsort(key[node == g], kind="stable")[:take[g]]] = True
+        assert np.array_equal(_select(node, key, take), want)
 
 
 @settings(max_examples=60, deadline=None)
-@given(reps=_sparse_reps(max_rows=INIT_SAMPLE, max_dim=60))
-def test_seed_gram_equals_scipy_product(reps):
+@given(reps=_sparse_reps(max_rows=INIT_SAMPLE, max_dim=60), cut=st.integers(0, INIT_SAMPLE))
+def test_seed_gram_equals_scipy_product(reps, cut):
+    # two groups of seeds on disjoint columns: each one's (k, k) block of the product, +inf on its diagonal
     rows = np.flatnonzero(np.diff(reps.indptr))
     if len(rows) < 2:
         return
-    seeds = reps[rows]
-    got = _seed_gram(seeds.indices.astype(np.int64), seeds.data, np.diff(seeds.indptr))
-    want = (seeds @ seeds.T).toarray()
-    upper = ~np.tri(len(rows), dtype=bool)
-    assert np.array_equal(got[upper].view(np.int64), want[upper].view(np.int64))
-    assert np.all(got[~upper] == np.inf)
+    cut = min(cut, len(rows))
+    seeds = [reps[rows[:cut]], reps[rows[cut:]]]
+    sizes = np.array([len(rows[:cut]), len(rows[cut:])])
+    both = sp.block_diag([s for s in seeds if s.shape[0]], format="csr")
+    got = _seed_gram(sp.csr_array(both), sizes[sizes > 0])
+    at = 0
+    for block, k in zip(seeds, sizes):
+        if k:
+            want = (block @ block.T).toarray()
+            want[np.eye(k, dtype=bool)] = np.inf
+            assert np.array_equal(got[at:at + k * k].view(np.int64), want.ravel().view(np.int64))
+            at += k * k
+    assert at == len(got)
 
 
 # ---------------------------------------------------------------------------
