@@ -232,7 +232,7 @@ def _load_train_data(args, config: TrainConfig, cmap: ClusterMap | None = None):
     if not args.out_dir:
         raise UsageError(f"{args.command} requires --out-dir")
     out_dir, corpus = Path(args.out_dir), make_synthetic_corpus(seed=config.seed) if args.synth else None
-    if corpus is not None and cmap is not None:
+    if corpus is not None and cmap is not None:  # checked before the corpus is written
         _check_label_count(args.clusters, cmap.num_labels, corpus.num_labels)
     out_dir.mkdir(parents=True, exist_ok=True)
     if corpus is not None:
@@ -249,6 +249,8 @@ def _load_train_data(args, config: TrainConfig, cmap: ClusterMap | None = None):
                           dev_text=_require_file(args.dev_text, "--dev-text file"))
     vocab = build_vocab(inputs["text"], min_freq=config.min_freq)
     train_ds = load_dataset(inputs["sparse"], inputs["text"], vocab, max_len=config.max_len, split="train")
+    if corpus is None and cmap is not None:
+        _check_label_count(args.clusters, cmap.num_labels, train_ds.num_labels)
     dev_ds = None
     if "dev_sparse" in inputs:
         dev_ds = load_dataset(inputs["dev_sparse"], inputs["dev_text"], vocab, max_len=config.max_len, split="test")
@@ -316,7 +318,6 @@ def cmd_train(args) -> int:
     out_dir, train_ds, dev_ds, vocab, inputs = _load_train_data(args, config, cmap)
     if cmap is not None:
         inputs["clusters"] = Path(args.clusters)
-        _check_label_count(inputs["clusters"], cmap.num_labels, train_ds.num_labels)
 
     vocab_path = out_dir / "vocab.txt"
     vocab.save(vocab_path)

@@ -5,12 +5,12 @@ the training documents that carry them, then recursively bisected with a
 balanced 2-means (cosine similarity) until every leaf holds at most ``s``
 labels.  Leaves become clusters, numbered in depth-first order, left first.
 The tree grows a depth at a time, as PECOS builds its hierarchical k-means:
-one batched 2-means splits all nodes of a depth, each on its own entries
-and columns.  Margins, centroids and seed cosines add in the order of
-scipy's products over all D columns, each centroid's norm adds its own
-columns in the order numpy's pairwise ``.sum()`` adds a dense (D,) vector,
-and an exact top-k selection breaks ties by label id as a stable sort
-does, so the maps are those of the node-by-node full-width build.
+a batched 2-means splits all nodes of a depth, each on its own entries and
+columns, in batches of whole nodes that bound its memory.  Every product adds
+in the order scipy's products over all D columns do, each centroid's norm
+adds its own columns in the order numpy's pairwise ``.sum()`` adds a dense
+(D,) vector, and an exact top-k selection breaks ties by label id as a stable
+sort does, so the maps are those of the node-by-node full-width build.
 
 Cluster sizes target the bound s/2 < size <= s.  Exact halving cannot
 always respect the lower bound (a node of 9 labels with s=8 can only split
@@ -169,7 +169,7 @@ def _sum_tree(cols: np.ndarray, dim):
         half = np.where(n > 128, n // 16 * 8, n)  # a block's "left half" is all of it
         right = cols >= lo + half
         lo, n, path, depth = lo + half * right, np.where(right, n - half, half), 2 * path + right, depth + 1
-    return path, np.where(cols - lo < n - n % 8, (cols - lo) % 8, 8), depth
+    return path, np.where(cols - lo < n - n % 8, (cols - lo) % 8, 8).astype(np.int8), depth
 
 
 def _dense_sums(group: np.ndarray, tree, num_groups: int):
@@ -179,25 +179,24 @@ def _dense_sums(group: np.ndarray, tree, num_groups: int):
     path, lane, depth = tree
     key = group.astype(np.int64) << depth | path  # each entry's block
     first = np.diff(key, prepend=-1) != 0
-    block, key, main, tail = np.cumsum(first) - 1, key[first], np.flatnonzero(lane < 8), np.flatnonzero(lane == 8)
-    blocks, bins, joins = len(key), (block[main] * 8 + lane[main]).astype(np.int32), []
-    rest = np.append(np.arange(blocks), block[tail]).astype(np.int32)  # a block's lanes, then its tail in turn
-    main, tail = main.astype(np.int32), tail.astype(np.int32)
+    block, key, main = np.cumsum(first, dtype=np.int32) - 1, key[first], lane < 8
+    blocks, bins, joins = len(key), block[main] * 8 + lane[main], []
+    rest = np.append(np.arange(blocks, dtype=np.int32), block[~main])  # a block's lanes, then its tail in turn
     for _ in range(depth):  # sibling spans, deepest first
         key >>= 1
         joins.append(np.flatnonzero(np.diff(key, prepend=-1)).astype(np.int32))
         key = key[joins[-1]]
 
-    def block_sums(v: np.ndarray) -> np.ndarray:
-        r = np.bincount(bins, v[main], minlength=8 * blocks).reshape(-1, 8)
-        lanes = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-        return np.bincount(rest, np.append(lanes, v[tail]))
-
-    def sums(values: np.ndarray) -> np.ndarray:
-        out = np.stack([block_sums(v) for v in values])
+    def sums(values) -> np.ndarray:
+        out = []
+        for v in values:
+            r = np.bincount(bins, v[main], minlength=8 * blocks).reshape(-1, 8)
+            lanes = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+            out.append(np.bincount(rest, np.append(lanes, v[~main])))
+        out = np.stack(out)
         for starts in joins:
             out = np.add.reduceat(out, starts, axis=1)
-        full = np.zeros((len(values), num_groups))
+        full = np.zeros((len(out), num_groups))
         full[:, key] = out
         return full
     return sums
@@ -212,14 +211,12 @@ def _select(node: np.ndarray, key: np.ndarray, take: np.ndarray) -> np.ndarray:
     grid[node, np.arange(len(node)) - start[node]] = key
     grid.sort(axis=1)
     cut = grid[groups, take - 1][node]  # each node's take-th key; of the rows equal to it, the first count
-    if (grid[groups, take] != grid[groups, take - 1]).all():  # no row past the cut ties it
-        return key <= cut
     ties = np.cumsum(key == cut)
     rank = ties - (ties - (key == cut))[start][node]  # 1 for a node's first row at its cut
     return (key < cut) | ((key == cut) & (rank <= (take - np.bincount(node[key < cut], minlength=len(take)))[node]))
 
 
-def _seed_gram(seeds: sp.csr_array, sizes: np.ndarray) -> np.ndarray:
+def _seed_gram(seeds: sp.sparray, sizes: np.ndarray) -> np.ndarray:
     """Gram matrices of groups of ``sizes`` rows of ``seeds`` (no column shared between groups),
     by scipy's product, each (k, k) flattened in turn, +inf on the diagonal: a pair shows first
     above it, so a group's first minimum is its first minimal pair in row-major order."""
@@ -233,25 +230,43 @@ def _seed_gram(seeds: sp.csr_array, sizes: np.ndarray) -> np.ndarray:
 
 def _two_means(rows: np.ndarray, node: np.ndarray, take: np.ndarray, ids: np.ndarray, seed: int, entries):
     """Which ``rows`` (non-empty reps, ascending in each node; ``node`` ascends from 0) go left in
-    one batched balanced 2-means, ``take[node]`` of each node.  ``x`` holds the rows on their
-    nodes' columns, each node's numbered in order as its slots, and ``xt`` is its transpose, so
-    every product adds what the node alone would, in the same order.  ``entries``: the reps, their
-    entries' ids and rows by column, then row, and :func:`_sum_tree` of their columns."""
-    reps, by_col, label_of, (path, lane, depth) = entries
-    at = np.full(reps.shape[0], -1, dtype=np.int32)
+    a balanced 2-means of each node, ``take[node]`` of its rows.  Nodes run in batches of about
+    2**16 entries and seed pairs, which bounds the memory of the levels rich in small nodes.
+    ``entries``: the reps, their entries' ids and rows by column, then row, and the distinct
+    columns with their :func:`_sum_tree`."""
+    reps, by_col, label_of, _ = entries
+    node_of = np.full(reps.shape[0], len(take), dtype=np.min_scalar_type(len(take)))
+    node_of[rows] = node
+    order = np.argsort(node_of[label_of], kind="stable").astype(np.int32)  # by (node, column, row), then no node's
+    at = np.empty(reps.shape[0], dtype=np.int32)  # a label's place in ``rows``
     at[rows] = np.arange(len(rows))
-    order = np.flatnonzero(at[label_of] >= 0)
-    row_of = at[label_of[order]]
-    by_node = np.argsort(node.astype(np.min_scalar_type(len(take)))[row_of], kind="stable")
-    order, row_of = order[by_node], row_of[by_node]  # the nodes' entries by (node, column, row)
-    del at, by_node  # entry-length arrays set the build's peak memory: hold only those still read
-    col = reps.indices[by_col[order]]
-    first = np.flatnonzero((np.diff(node[row_of], prepend=-1) != 0) | (np.diff(col, prepend=-1) != 0))
-    xt = sp.csr_array((reps.data[by_col[order]], row_of, np.append(first, len(order)).astype(np.int32)),
-                      shape=(len(first), len(rows)))
-    x, slot_node = xt.T.tocsr(), node[row_of[first]].astype(np.int32)
-    path, lane = path[order[first]], lane[order[first]]
-    del order, row_of, col, first
+    held, sizes = np.bincount(node, np.diff(reps.indptr)[rows]).astype(np.int64), np.bincount(node)
+    weight, in_left = held + np.minimum(sizes, INIT_SAMPLE) ** 2, np.empty(len(rows), dtype=bool)
+    cuts = np.flatnonzero(np.diff((np.cumsum(weight) - weight) >> 16, prepend=-1, append=-1)).tolist()
+    row_at, entry_at = np.append(0, np.cumsum(sizes)).tolist(), np.append(0, np.cumsum(held)).tolist()
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        lo, hi, part = row_at[a], row_at[b], order[entry_at[a]:entry_at[b]]
+        row_of, batch = at[label_of[part]] - lo, node[lo:hi] - a
+        in_left[lo:hi] = _bisect(row_of, part, held[a:b], batch, take[a:b], ids[a:b], seed, entries)
+    return in_left
+
+
+def _bisect(row_of, part, held, node, take, ids, seed, entries):
+    """Which rows of one batch of nodes go left, ``take[node]`` of each node's: ``row_of`` and
+    ``part`` (positions in ``entries``' by-column order) give the batch's entries by (node,
+    column, row), ``held`` their count in each node.  ``xt`` (slots x rows) holds them, a slot per
+    node and column in that order, so every product over it adds what the node alone would."""
+    reps, by_col, _, (columns, path, lane, depth) = entries
+    col = reps.indices[by_col[part]]
+    new = np.diff(col, prepend=-1) != 0
+    new[np.cumsum(held) - held] = True  # each node's first entry
+    first = np.flatnonzero(new)
+    slot_node, at = node[row_of[first]], np.searchsorted(columns, col[first])
+    path, lane = path[at], lane[at]
+    del col, new, at
+    xt = sp.csr_array((reps.data[by_col[part]], row_of, np.append(first, len(part)).astype(np.int32)),
+                      shape=(len(first), len(node)))
+    del first
     # seeds: per node, the sampled pair with minimal mutual cosine, first in row-major order
     sizes = np.bincount(node)
     k, start = np.minimum(INIT_SAMPLE, sizes), np.cumsum(sizes) - sizes
@@ -259,44 +274,33 @@ def _two_means(rows: np.ndarray, node: np.ndarray, take: np.ndarray, ids: np.nda
     for j in np.flatnonzero(sizes > INIT_SAMPLE):
         rng = np.random.default_rng([seed, int(ids[j])])
         picked[start[j] + rng.choice(sizes[j], INIT_SAMPLE, replace=False)] = True
-    sample, ends, pair = np.flatnonzero(picked), np.cumsum(k), np.empty((2, len(k)), dtype=np.int64)
-    for a, b in _runs(np.cumsum(k**2) - k**2 >> 16):  # about 2**16 pairs at a time
-        base = np.cumsum(k[a:b] ** 2) - k[a:b] ** 2
-        gram = _seed_gram(x[sample[ends[a] - k[a]:ends[b - 1]]], k[a:b])
-        least = np.flatnonzero(gram == np.repeat(np.minimum.reduceat(gram, base), k[a:b] ** 2))
-        pair[:, a:b] = sample[ends[a:b] - k[a:b] + np.divmod(least[np.searchsorted(least, base)] - base, k[a:b])]
-    centroids = np.zeros((2, len(path)))
-    for target, r in zip(centroids, pair):
-        entry = np.repeat(np.isin(np.arange(len(rows)), r), np.diff(x.indptr))  # the entries of rows r
-        target[x.indices[entry]] = x.data[entry]
-    diff, centroids = centroids[1] - centroids[0], None  # a row's margin, negated: ascending keys to select
+    sample, base = np.flatnonzero(picked), np.cumsum(k**2) - k**2
+    gram = _seed_gram(xt.T[sample], k)
+    least = np.flatnonzero(gram == np.repeat(np.minimum.reduceat(gram, base), k**2))
+    seeds = np.zeros((2, len(node)))
+    seeds[[[0], [1]], sample[np.cumsum(k) - k + np.divmod(least[np.searchsorted(least, base)] - base, k)]] = 1.0
+    diff = xt @ seeds[1] - xt @ seeds[0]  # a row's margin, negated, as ascending keys: one entry a slot
+    del seeds
     norm_sums = _dense_sums(slot_node, (path, lane, depth), len(take))
-    in_left, live, live_slots = np.zeros(len(rows), dtype=bool), np.arange(len(rows)), np.arange(len(path))
-    prev = np.full(len(rows), -1)  # equal to no split
+    in_left, live, prev = np.zeros(len(node), dtype=bool), np.arange(len(node)), np.full(len(node), -1)
     for _ in range(MAX_ITERS):
-        side = _select(node, x @ diff, take)
+        side = _select(node, (xt.T @ diff)[live], take)
         in_left[live] = side
-        stop = np.bincount(node, side != prev, minlength=len(take)) == 0
+        stop = np.bincount(node, side != prev, minlength=len(take)) == 0  # repeats its split from here on
         if stop.all():
             break
-        if 4 * stop[node].sum() >= len(node):  # a stopped node repeats its split: drop those at a quarter of the rows
-            row_go, slot_go, renumber, norm_sums = ~stop[node], ~stop[slot_node], np.cumsum(~stop) - 1, None
-            x, xt, live, live_slots, side = x[row_go], xt[slot_go], live[row_go], live_slots[slot_go], side[row_go]
-            node, slot_node = renumber[node[row_go]], renumber[slot_node[slot_go]]
-            path, lane = path[slot_go], lane[slot_go]
-            take, norm_sums = take[~stop], _dense_sums(slot_node, (path, lane, depth), (~stop).sum())
-        prev, left, centroids = side, in_left.astype(np.float64), None
-        centroids = np.stack([xt @ left, xt @ (1.0 - left)])
-        norms = np.sqrt(norm_sums(centroids**2))  # as numpy sums the dense (D,) centroids
+        if stop.any():  # drop the stopped nodes
+            go, slot_go, renumber = ~stop[node], ~stop[slot_node], np.cumsum(~stop) - 1
+            xt, path, lane, slot_node = xt[slot_go], path[slot_go], lane[slot_go], renumber[slot_node[slot_go]]
+            live, side, node, take = live[go], side[go], renumber[node[go]], take[~stop]
+            norm_sums = _dense_sums(slot_node, (path, lane, depth), len(take))
+        prev, left = side, in_left.astype(np.float64)
+        centroids, diff = (xt @ left, xt @ (1.0 - left)), None  # the old diff goes before the norms' buffers come
+        norms = np.sqrt(norm_sums(c**2 for c in centroids))  # as numpy sums the dense (D,) centroids
         norms[norms == 0] = 1.0
-        diff[live_slots] = centroids[1] / norms[1][slot_node] - centroids[0] / norms[0][slot_node]
+        diff = np.divide(centroids[1], norms[1][slot_node], out=centroids[1])
+        diff -= np.divide(centroids[0], norms[0][slot_node], out=centroids[0])
     return in_left
-
-
-def _runs(groups: np.ndarray):
-    """(start, end) of each run of equal values in ``groups``."""
-    starts = np.flatnonzero(np.diff(groups, prepend=-1))
-    return zip(starts.tolist(), np.append(starts[1:], len(groups)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +345,9 @@ def build_cluster_map(reps: sp.csr_array, s: int, seed: int) -> ClusterMap:
         return ClusterMap(np.arange(num_labels), s, seed)
 
     by_col = np.argsort(reps.indices, kind="stable").astype(np.int32)  # the entries by column, then row
-    cols = reps.indices[by_col]
-    first = np.diff(cols, prepend=-1) != 0
-    path, lane, tree_depth = _sum_tree(cols[first].astype(np.int32), reps.shape[1])  # once per column
-    at, label_of = np.cumsum(first) - 1, np.repeat(np.arange(num_labels, dtype=np.int32), np.diff(reps.indptr))
-    entries = reps, by_col, label_of[by_col], (path[at], lane[at].astype(np.int16), tree_depth)
-    del cols, first, at, label_of, path, lane
+    label_of = np.repeat(np.arange(num_labels, dtype=np.int32), np.diff(reps.indptr))[by_col]
+    columns = np.unique(reps.indices)
+    entries = reps, by_col, label_of, (columns, *_sum_tree(columns, reps.shape[1]))
     leaf, depth_of = np.empty(num_labels, dtype=np.int64), np.empty(num_labels, dtype=np.int8)
     rows, ids, sizes, depth = np.arange(num_labels), np.ones(1, dtype=np.int64), np.array([num_labels]), 0
     while True:  # a depth at a time: the nodes in id order, each node's rows ascending
@@ -362,13 +363,8 @@ def build_cluster_map(reps: sp.csr_array, s: int, seed: int) -> ClusterMap:
         counts = np.bincount(node[nonzero], minlength=len(sizes))
         if (live := nonzero & (counts >= 2)[node]).any():
             active, at = np.unique(node[live], return_inverse=True)
-            take, live = np.minimum(left_sizes, counts)[active], np.flatnonzero(live)
-            # batches of whole nodes bound the memory of the deep levels, rich in slots and seed pairs
-            weight = np.bincount(at, np.diff(reps.indptr)[rows[live]]) + np.minimum(counts[active], INIT_SAMPLE) ** 2
-            for a, b in _runs((np.cumsum(weight) - weight) // (reps.nnz + INIT_SAMPLE**3)):
-                part = slice(*np.searchsorted(at, [a, b]))
-                rows_b, node_b = rows[live[part]], at[part] - a
-                in_left[live[part]] = _two_means(rows_b, node_b, take[a:b], ids[active[a:b]], seed, entries)
+            take = np.minimum(left_sizes, counts)[active]
+            in_left[live] = _two_means(rows[live], at.astype(np.int32), take, ids[active], seed, entries)
         rows = rows[np.argsort(2 * node + ~in_left, kind="stable")]
         ids, sizes = np.stack([2 * ids, 2 * ids + 1], 1).ravel(), np.stack([left_sizes, sizes - left_sizes], 1).ravel()
         depth += 1
