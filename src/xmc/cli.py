@@ -382,6 +382,8 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--k must be comma-separated integers, got {args.k!r}") from None
     _check_ks(ks)
     ckpts = [args.ckpt] if args.ckpt else args.ensemble.split(",")
+    if "" in ckpts:
+        raise UsageError(f"--ensemble: member {ckpts.index('') + 1} is empty")
     loaded = [_load_run(_require_file(c, "checkpoint"), args.b_top, args.weights) for c in ckpts]
     bundles = [b for b, _, _, _ in loaded]
     _, config, vocab, b_top = loaded[0]

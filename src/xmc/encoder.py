@@ -97,6 +97,18 @@ def _merge_heads(x: Tensor) -> Tensor:
     return t.reshape(t.transpose(x, (0, 2, 1, 3)), (batch, seq, heads * per_head))
 
 
+def _attention(pre: Tensor, params: dict[str, Tensor], prefix: str, n_heads: int, key_keep: np.ndarray,
+               inv_sqrt: float, training: bool, rng: np.random.Generator) -> Tensor:
+    """One layer's masked multi-head self-attention block, dropout included; its
+    scores and weights die when it returns, unless a tape's derivatives read them."""
+    q, k, v = (_split_heads(t.linear(pre, params[f"{prefix}.attn.{n}.w"], params[f"{prefix}.attn.{n}.b"]), n_heads)
+               for n in "qkv")
+    scores = t.scale(t.matmul(q, t.transpose(k, (0, 1, 3, 2))), inv_sqrt)
+    weights = t.dropout(t.softmax(scores, axis=-1, keep=key_keep), BLOCK_DROPOUT, training, rng)
+    ctx = t.linear(_merge_heads(t.matmul(weights, v)), params[f"{prefix}.attn.o.w"], params[f"{prefix}.attn.o.b"])
+    return t.dropout(ctx, BLOCK_DROPOUT, training, rng)
+
+
 def encode(
     token_ids: np.ndarray,
     mask: np.ndarray,
@@ -129,15 +141,7 @@ def encode(
     for i in range(config.n_layers):
         prefix = f"encoder.layer{i}"
         pre = t.layer_norm(x, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
-        q = _split_heads(t.linear(pre, params[f"{prefix}.attn.q.w"], params[f"{prefix}.attn.q.b"]), config.n_heads)
-        k = _split_heads(t.linear(pre, params[f"{prefix}.attn.k.w"], params[f"{prefix}.attn.k.b"]), config.n_heads)
-        v = _split_heads(t.linear(pre, params[f"{prefix}.attn.v.w"], params[f"{prefix}.attn.v.b"]), config.n_heads)
-        scores = t.scale(t.matmul(q, t.transpose(k, (0, 1, 3, 2))), inv_sqrt)
-        weights = t.dropout(t.softmax(scores, axis=-1, keep=key_keep), BLOCK_DROPOUT, training, rng)
-        ctx = _merge_heads(t.matmul(weights, v))
-        ctx = t.linear(ctx, params[f"{prefix}.attn.o.w"], params[f"{prefix}.attn.o.b"])
-        ctx = t.dropout(ctx, BLOCK_DROPOUT, training, rng)
-        x = t.add(x, ctx)
+        x = t.add(x, _attention(pre, params, prefix, config.n_heads, key_keep, inv_sqrt, training, rng))
 
         pre2 = t.layer_norm(x, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
         ff = t.linear(pre2, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"])

@@ -10,6 +10,11 @@ reverse execution order.  A tape runs backward once: each node, with the
 activations its closure holds and its output's gradient, is released as soon
 as it has run, so only leaf tensors such as parameters keep a gradient.
 
+A third rule keeps the forward's hold small: a node keeps its output's
+gradient :class:`_Slot` and the arrays its derivative reads, never a tensor;
+its closure takes the inputs' accumulators (slots, or untaped tensors) as
+arguments.  An activation no derivative reads dies with its last reference.
+
 Two global numeric modes exist: fast (float32) and verification (float64 with
 NaN/Inf checking), toggled by :func:`set_verify_mode`.
 """
@@ -54,7 +59,54 @@ def verify_enabled() -> bool:
     return _nan_check
 
 
-class Tensor:
+class _Grad:
+    """A gradient accumulator: a tensor's own, or the slot of a taped op output."""
+
+    __slots__ = ("_grad", "grad_rows", "requires_grad")
+
+    def _accum(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
+        if self._grad is None:
+            # zeros + g in one pass: data's layout and dtype, and -0.0 becomes +0.0
+            self._grad = np.add(g, 0.0, out=self._buffer(zeroed=False))
+        else:
+            self._grad += g
+        self.grad_rows = None
+
+    def _accum_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Add ``values`` to the sorted, distinct ``rows`` of the gradient."""
+        if not self.requires_grad:
+            return
+        if self._grad is None:
+            self._grad = self._buffer(zeroed=True)
+            self.grad_rows = rows
+        elif self.grad_rows is not None:
+            self.grad_rows = np.union1d(self.grad_rows, rows)
+        self._grad[rows] += values
+
+
+class _Slot(_Grad):
+    """The gradient of a taped op output: its tape node keeps this, not the output."""
+
+    __slots__ = ("shape", "dtype", "_strides")
+
+    def __init__(self, data: np.ndarray):
+        self._grad = self.grad_rows = None
+        self.requires_grad = True
+        self.shape, self.dtype = data.shape, data.dtype
+        self._strides = None if data.flags.c_contiguous else data.strides
+
+    def _buffer(self, zeroed: bool) -> np.ndarray:
+        # the layout np.empty_like(data) gives: C order, or else data's axes from the largest stride down
+        make = np.zeros if zeroed else np.empty
+        if self._strides is None:
+            return make(self.shape, self.dtype)
+        axes = sorted(range(len(self.shape)), key=lambda i: -abs(self._strides[i]))
+        return make([self.shape[i] for i in axes], self.dtype).transpose(sorted(axes, key=axes.__getitem__))
+
+
+class Tensor(_Grad):
     """A dense row-major array plus an optional same-shape grad accumulator.
 
     ``grad_rows`` is a hint kept next to the dense gradient: when it is not
@@ -67,13 +119,14 @@ class Tensor:
     row-hinted one zeroes only the rows the last hint named.
     """
 
-    __slots__ = ("data", "_grad", "grad_rows", "requires_grad", "_spare")
+    __slots__ = ("data", "_spare", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_dtype)
         self.requires_grad = requires_grad
         self._grad: np.ndarray | None = None
         self.grad_rows: np.ndarray | None = None
+        self._slot: _Slot | None = None  # set by _node on a taped output
         self._spare: tuple[np.ndarray, np.ndarray | None] | None = None  # a cleared buffer and its hint
         if _nan_check and not np.all(np.isfinite(self.data)):
             raise NumericError("non-finite value in tensor")
@@ -121,27 +174,6 @@ class Tensor:
                 buf[rows] = 0.0
         return buf
 
-    def _accum(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self._grad is None:
-            # zeros + g in one pass: data's layout and dtype, and -0.0 becomes +0.0
-            self._grad = np.add(g, 0.0, out=self._buffer(zeroed=False))
-        else:
-            self._grad += g
-        self.grad_rows = None
-
-    def _accum_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Add ``values`` to the sorted, distinct ``rows`` of the gradient."""
-        if not self.requires_grad:
-            return
-        if self._grad is None:
-            self._grad = self._buffer(zeroed=True)
-            self.grad_rows = rows
-        elif self.grad_rows is not None:
-            self.grad_rows = np.union1d(self.grad_rows, rows)
-        self._grad[rows] += values
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -155,16 +187,16 @@ class Tape:
 
     ``backward`` seeds the scalar loss with gradient 1 and replays the
     recorded closures in reverse execution order.  It pops each node as it
-    runs and takes its output's gradient away: every consumer of that output
-    ran later in the forward pass, so the gradient is final and nothing reads
-    it again.  Op outputs end with ``grad is None`` and the tape empty; leaves
-    not on a path to the loss keep ``grad is None`` too.
+    runs and takes its output's gradient out of the node's slot: every
+    consumer of that output ran later in the forward pass, so the gradient is
+    final and nothing reads it again.  Slots end without a gradient and the
+    tape empty; leaves not on a path to the loss keep ``grad is None``.
     """
 
     __slots__ = ("_nodes", "_used")
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._nodes: list[tuple[_Slot, Callable[..., None], list[_Grad]]] = []
         self._used = False
 
     def __len__(self) -> int:
@@ -176,12 +208,12 @@ class Tape:
         if self._used:
             raise ContractError("backward already ran on this tape")
         self._used = True
-        loss._accum(np.ones_like(loss.data))
+        (loss._slot or loss)._accum(np.ones_like(loss.data))
         while self._nodes:
-            out, fn = self._nodes.pop()
-            g, out.grad = out.grad, None
+            slot, fn, inputs = self._nodes.pop()
+            g, slot._grad = slot._grad, None
             if g is not None:
-                fn(g)
+                fn(g, *inputs)
 
 
 _active: Tape | None = None
@@ -200,14 +232,15 @@ def record():
         _active = prev
 
 
-def _node(data, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
+def _node(data, inputs: Sequence[Tensor], backward: Callable[..., None]) -> Tensor:
     """An op's output: it requires a gradient iff some input does, and only
-    then, while a tape records, is it taped with ``backward``."""
+    then, while a tape records, is it taped as ``backward(g, *inputs' accumulators)``."""
     for x in inputs:
         if x.requires_grad:
             out = Tensor(data, True)
             if _active is not None:
-                _active._nodes.append((out, backward))
+                out._slot = _Slot(out.data)
+                _active._nodes.append((out._slot, backward, [i._slot or i for i in inputs]))
             return out
     return Tensor(data)
 
@@ -235,26 +268,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         or a.shape[:-2] != b.shape[:-2]
     ):
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
 
-    def bwd(g: np.ndarray) -> None:
-        a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        b._accum(np.matmul(np.swapaxes(a.data, -1, -2), g))
+    def bwd(g: np.ndarray, a: _Grad, b: _Grad) -> None:
+        a._accum(np.matmul(g, np.swapaxes(bd, -1, -2)))
+        b._accum(np.matmul(np.swapaxes(ad, -1, -2), g))
 
-    return _node(a.data @ b.data, (a, b), bwd)
+    return _node(ad @ bd, (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` over the last axis of ``x`` as one node; ``w`` is (in, out)."""
     if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
-    flat = x.data.reshape(-1, w.shape[0])
-    y = flat @ w.data
+    flat, wd, x_shape = x.data.reshape(-1, w.shape[0]), w.data, x.shape
+    y = flat @ wd
     y += b.data
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, x: _Grad, w: _Grad, b: _Grad) -> None:
         g = g.reshape(flat.shape[0], -1)
         b._accum(g.sum(axis=0))
-        x._accum((g @ w.data.T).reshape(x.shape))
+        x._accum((g @ wd.T).reshape(x_shape))
         w._accum(flat.T @ g)
 
     return _node(y.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), bwd)
@@ -262,10 +296,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
+    a_shape, b_shape = a.shape, b.shape
 
-    def bwd(g: np.ndarray) -> None:
-        a._accum(_unbroadcast(g, a.shape))
-        b._accum(_unbroadcast(g, b.shape))
+    def bwd(g: np.ndarray, a: _Grad, b: _Grad) -> None:
+        a._accum(_unbroadcast(g, a_shape))
+        b._accum(_unbroadcast(g, b_shape))
 
     return _node(a.data + b.data, (a, b), bwd)
 
@@ -273,7 +308,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def add_n(tensors: Sequence[Tensor]) -> Tensor:
     """Sum of same-shape tensors."""
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, *tensors: _Grad) -> None:
         for t in tensors:
             t._accum(g)
 
@@ -282,24 +317,27 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
+    ad, bd = a.data, b.data
 
-    def bwd(g: np.ndarray) -> None:
-        a._accum(_unbroadcast(g * b.data, a.shape))
-        b._accum(_unbroadcast(g * a.data, b.shape))
+    def bwd(g: np.ndarray, a: _Grad, b: _Grad) -> None:
+        a._accum(_unbroadcast(g * bd, ad.shape))
+        b._accum(_unbroadcast(g * ad, bd.shape))
 
-    return _node(a.data * b.data, (a, b), bwd)
+    return _node(ad * bd, (a, b), bwd)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, x: _Grad) -> None:
         x._accum(g * factor)
 
     return _node(x.data * factor, (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        x._accum(np.full_like(x.data, float(g)))
+    shape, dtype = x.shape, x.data.dtype
+
+    def bwd(g: np.ndarray, x: _Grad) -> None:
+        x._accum(np.full(shape, float(g), dtype))
 
     return _node(x.data.sum(), (x,), bwd)
 
@@ -309,8 +347,10 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        x._accum(g.reshape(x.shape))
+    x_shape = x.shape
+
+    def bwd(g: np.ndarray, x: _Grad) -> None:
+        x._accum(g.reshape(x_shape))
 
     return _node(x.data.reshape(shape), (x,), bwd)
 
@@ -318,7 +358,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, x: _Grad) -> None:
         x._accum(np.transpose(g, inverse))
 
     return _node(np.transpose(x.data, axes), (x,), bwd)
@@ -326,10 +366,11 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def take(x: Tensor, index: int, axis: int) -> Tensor:
     """Select one slice along ``axis`` (the axis is dropped)."""
+    shape, dtype = x.shape, x.data.dtype
 
-    def bwd(g: np.ndarray) -> None:
-        z = np.zeros_like(x.data)
-        sl: list[slice | int] = [slice(None)] * x.ndim
+    def bwd(g: np.ndarray, x: _Grad) -> None:
+        z = np.zeros(shape, dtype)
+        sl: list[slice | int] = [slice(None)] * len(shape)
         sl[axis] = index
         z[tuple(sl)] = g
         x._accum(z)
@@ -340,7 +381,7 @@ def take(x: Tensor, index: int, axis: int) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, *tensors: _Grad) -> None:
         for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
             t._accum(piece)
 
@@ -366,11 +407,11 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of ``weight`` by non-negative ``ids``; backward adds only
     into the gathered rows of ``weight.grad`` and records them in
     ``weight.grad_rows``."""
-    ids = np.asarray(ids)
+    ids, row_shape = np.asarray(ids), weight.shape[1:]
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, weight: _Grad) -> None:
         rows, sums = _row_sums(ids, g)
-        weight._accum_rows(rows, sums.reshape(rows.shape + weight.shape[1:]))
+        weight._accum_rows(rows, sums.reshape(rows.shape + row_shape))
 
     return _node(weight.data[ids], (weight,), bwd)
 
@@ -378,7 +419,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 def masked_fill(x: Tensor, keep: np.ndarray, fill: float) -> Tensor:
     """Where ``keep`` is False, replace by ``fill``; gradient passes only where kept."""
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, x: _Grad) -> None:
         x._accum(np.where(keep, g, 0.0))
 
     return _node(np.where(keep, x.data, fill), (x,), bwd)
@@ -393,31 +434,31 @@ def sigmoid(x: Tensor) -> Tensor:
     z = np.exp(-np.abs(x.data))
     y = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
-    def bwd(g: np.ndarray) -> None:
-        x._accum(g * out.data * (1.0 - out.data))
+    def bwd(g: np.ndarray, x: _Grad) -> None:
+        x._accum(g * y * (1.0 - y))
 
-    out = _node(y, (x,), bwd)
-    return out
+    return _node(y, (x,), bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU x * Phi(x) via erf."""
-    cdf = erf(x.data / math.sqrt(2.0))
+    xd = x.data
+    cdf = erf(xd / math.sqrt(2.0))
     cdf += 1.0
     cdf *= 0.5
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, x: _Grad) -> None:
         # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
-        d = -0.5 * x.data
-        d *= x.data
+        d = -0.5 * xd
+        d *= xd
         np.exp(d, out=d)
         d /= math.sqrt(2.0 * math.pi)
-        d *= x.data
+        d *= xd
         d += cdf
         d *= g
         x._accum(d)
 
-    return _node(x.data * cdf, (x,), bwd)
+    return _node(xd * cdf, (x,), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor:
@@ -431,16 +472,15 @@ def softmax(x: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
-    def bwd(g: np.ndarray) -> None:
-        d = g * out.data
+    def bwd(g: np.ndarray, x: _Grad) -> None:
+        d = g * y
         np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
-        d *= out.data
+        d *= y
         if keep is not None:
             d *= keep  # a signed zero where masked, which accumulates as +0.0
         x._accum(d)
 
-    out = _node(y, (x,), bwd)
-    return out
+    return _node(y, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -450,14 +490,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = x.data - mu
     xhat *= inv
-    y = xhat * gain.data
+    gd, gain_shape, bias_shape = gain.data, gain.shape, bias.shape
+    y = xhat * gd
     y += bias.data
 
-    def bwd(g: np.ndarray) -> None:
-        gain._accum(_unbroadcast(g * xhat, gain.shape))
-        bias._accum(_unbroadcast(g, bias.shape))
+    def bwd(g: np.ndarray, x: _Grad, gain: _Grad, bias: _Grad) -> None:
+        gain._accum(_unbroadcast(g * xhat, gain_shape))
+        bias._accum(_unbroadcast(g, bias_shape))
         # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
-        dxhat = g * gain.data
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         tmp = dxhat * xhat
         m2 = tmp.mean(axis=-1, keepdims=True)
@@ -480,7 +521,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     y = x.data * keep
     y *= factor
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, x: _Grad) -> None:
         d = g * keep
         d *= factor
         x._accum(d)
@@ -510,7 +551,7 @@ def bce_loss(p: Tensor, y: np.ndarray) -> Tensor:
     elem = -(y * np.log(pc) + (1.0 - y) * np.log(qc))
     denom = float(p.shape[0]) if p.ndim == 2 else 1.0
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, p: _Grad) -> None:
         p._accum(float(g) / denom * (-y / pc + (1.0 - y) / qc))
 
     return _node(elem.sum() / denom, (p,), bwd)

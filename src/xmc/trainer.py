@@ -305,6 +305,8 @@ def train(
             sum_g += lg
             sum_d += ld
             steps += 1
+        for p in bundle.params.values():
+            p.grad = None  # SWA and dev eval run without the buffers; the next step makes them anew
         if epoch >= swa_start:
             swa_update(bundle.swa, bundle.params)
         record = {

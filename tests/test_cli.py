@@ -386,6 +386,14 @@ def test_eval_ensemble_of_same_run(capsys, trained_run, corpus_files):
     assert "p1=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("members, empty", [("{a},", 2), (",{a}", 1), ("{a},,{a}", 2)])
+def test_eval_ensemble_empty_member_exit_2_naming_it(capsys, trained_run, corpus_files, members, empty):
+    code = main(["eval", "--ensemble", members.format(a=trained_run / "final.ckpt"),
+                 "--sparse", str(corpus_files["test_sparse"]), "--text", str(corpus_files["test_text"])])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --ensemble: member {empty} is empty\n"
+
+
 @pytest.mark.parametrize("differs", ["vocab", "max_len"])
 def test_eval_ensemble_members_share_vocab_and_max_len(tmp_path, trained_run, corpus_files, capsys, differs):
     member = tmp_path / "member"

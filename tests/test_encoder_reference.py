@@ -29,7 +29,8 @@ from helpers import verify_mode
 
 def _ref_accum(self, g):
     if self._grad is None:
-        self._grad = np.zeros_like(self.data)
+        # a slot's buffer is a fresh one in the layout of its output's data
+        self._grad = np.zeros_like(self.data) if isinstance(self, Tensor) else self._buffer(zeroed=True)
     self._grad += g
     self.grad_rows = None
 
@@ -44,11 +45,13 @@ def _ref_linear(x, w, b):
 def _ref_gelu(x):
     cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
 
-    def bwd(g):
-        pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
-        x._accum(g * (cdf + x.data * pdf))
+    xd = x.data
 
-    return t._node(x.data * cdf, (x,), bwd)
+    def bwd(g, x):
+        pdf = np.exp(-0.5 * xd * xd) / math.sqrt(2.0 * math.pi)
+        x._accum(g * (cdf + xd * pdf))
+
+    return t._node(xd * cdf, (x,), bwd)
 
 
 def _ref_softmax(x, axis=-1):
@@ -56,12 +59,11 @@ def _ref_softmax(x, axis=-1):
     e = np.exp(x.data - m)
     y = e / e.sum(axis=axis, keepdims=True)
 
-    def bwd(g):
-        dot = (g * out.data).sum(axis=axis, keepdims=True)
-        x._accum(out.data * (g - dot))
+    def bwd(g, x):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        x._accum(y * (g - dot))
 
-    out = t._node(y, (x,), bwd)
-    return out
+    return t._node(y, (x,), bwd)
 
 
 def _ref_layer_norm(x, gain, bias, eps=1e-5):
@@ -69,14 +71,15 @@ def _ref_layer_norm(x, gain, bias, eps=1e-5):
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
+    gd, gain_shape, bias_shape = gain.data, gain.shape, bias.shape
 
-    def bwd(g):
+    def bwd(g, x, gain, bias):
         if gain.requires_grad:
-            gain._accum(t._unbroadcast(g * xhat, gain.shape))
+            gain._accum(t._unbroadcast(g * xhat, gain_shape))
         if bias.requires_grad:
-            bias._accum(t._unbroadcast(g, bias.shape))
+            bias._accum(t._unbroadcast(g, bias_shape))
         if x.requires_grad:
-            dxhat = g * gain.data
+            dxhat = g * gd
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             x._accum((dxhat - m1 - xhat * m2) * inv)
@@ -90,7 +93,7 @@ def _ref_dropout(x, rate, training, rng):
     keep = rng.random(x.shape) >= rate
     factor = 1.0 / (1.0 - rate)
 
-    def bwd(g):
+    def bwd(g, x):
         x._accum(g * keep * factor)
 
     return t._node(x.data * keep * factor, (x,), bwd)
@@ -172,6 +175,7 @@ def test_encode_matches_reference_bit_for_bit(monkeypatch, verify, training):
         rep, grads = _run(encode, params, probe, training, **inputs)
         with monkeypatch.context() as m:
             m.setattr(Tensor, "_accum", _ref_accum)
+            m.setattr(t._Slot, "_accum", _ref_accum)
             ref_rep, ref_grads = _run(_ref_encode, params, probe, training, **inputs)
 
     assert rep.dtype == (np.float64 if verify else np.float32)
@@ -205,6 +209,7 @@ def test_head_affine_maps_match_matmul_add(monkeypatch, verify):
         got = run(recall_scores, rank_scores)
         with monkeypatch.context() as m:
             m.setattr(Tensor, "_accum", _ref_accum)
+            m.setattr(t._Slot, "_accum", _ref_accum)
             ref = run(_ref_recall_scores, _ref_rank_scores)
 
     for a, b in zip(got, ref):

@@ -78,14 +78,14 @@ def _reference_swa_update(state, params):
 
 
 def _reference_embedding(weight, ids):
-    ids = np.asarray(ids)
+    ids, wd = np.asarray(ids), weight.data
 
-    def bwd(g):
-        gw = np.zeros_like(weight.data)
+    def bwd(g, weight):
+        gw = np.zeros_like(wd)
         np.add.at(gw, ids, g)
         weight._accum(gw)
 
-    return t._node(weight.data[ids], (weight,), bwd)
+    return t._node(wd[ids], (weight,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,12 @@ def test_node_rule_is_kept_in_one_place():
                 for name, fn in outer.items()}
     for name, inner in closures.items():
         assert not any(a.attr == "requires_grad" for bwd in inner for a in attributes(bwd)), name
+    for name in OPS:  # a backward closure captures no input tensor
+        fn = outer[name]
+        tensors = {a.arg for a in fn.args.args + [fn.args.vararg] if a and "Tensor" in ast.unparse(a.annotation)}
+        loads = {n.id for bwd in closures[name] for n in ast.walk(bwd) if isinstance(n, ast.Name)}
+        params = {a.arg for bwd in closures[name] for a in bwd.args.args + [bwd.args.vararg] if a}
+        assert tensors and not (tensors & loads) - params, name
     with_backward = {name for name, inner in closures.items() if inner}
     assert with_backward == {name for name, fn in outer.items() if calls(fn, "_node")} == set(OPS)
     assert not any(calls(outer[name], "Tensor") for name in OPS)
@@ -400,10 +406,10 @@ def test_node_rule_is_kept_in_one_place():
 def _keep_all_backward(tape, loss):
     """Reference loop that keeps every node and every op output's gradient
     until the tape dies, as backward did before it released them."""
-    loss._accum(np.ones_like(loss.data))
-    for out, fn in reversed(tape._nodes):
-        if out.grad is not None:
-            fn(out.grad)
+    (loss._slot or loss)._accum(np.ones_like(loss.data))
+    for slot, fn, inputs in reversed(tape._nodes):
+        if slot._grad is not None:
+            fn(slot._grad, *inputs)
 
 
 def _micro_param_grads(backward):
@@ -415,19 +421,30 @@ def _micro_param_grads(backward):
     bundle.rng = np.random.default_rng(17)
     with T.record() as tape:
         total, *_ = joint_losses(batch, bundle, candidates=candidates, training=True)
-        outputs = [out for out, _ in tape._nodes]
+        slots = [slot for slot, _, _ in tape._nodes]
         backward(tape, total)
-    return {n: p.grad for n, p in bundle.params.items()}, outputs, tape
+    return {n: p.grad for n, p in bundle.params.items()}, slots, tape
 
 
 def test_backward_releases_nodes_and_op_output_grads():
     with verify_mode():
-        grads, outputs, tape = _micro_param_grads(T.Tape.backward)
+        grads, slots, tape = _micro_param_grads(T.Tape.backward)
         ref, _, _ = _micro_param_grads(_keep_all_backward)
-    assert len(tape) == 0 and len(outputs) > 50
-    assert all(out.grad is None for out in outputs)
+    assert len(tape) == 0 and len(slots) > 50
+    assert all(slot._grad is None for slot in slots)
     assert all(g is not None for g in grads.values())
     assert {n: g.tobytes() for n, g in grads.items()} == {n: g.tobytes() for n, g in ref.items()}
+
+
+def test_slot_buffer_takes_the_layout_empty_like_gives():
+    base = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5)
+    views = [base, base.transpose(0, 2, 1, 3), base.transpose(0, 1, 3, 2), base[:, :, 0].T, np.asfortranarray(base),
+             base[:, ::2], base[::-1], np.ones((4, 1, 3)).transpose(1, 0, 2), np.float64(2.0) * np.ones(())]
+    for data in views:
+        for zeroed in (False, True):
+            buf = T._Slot(data)._buffer(zeroed)
+            assert (buf.shape, buf.dtype, buf.strides) == (data.shape, data.dtype, np.empty_like(data).strides)
+            assert not zeroed or not buf.any()
 
 
 def test_tape_runs_backward_once():
@@ -440,10 +457,9 @@ def test_tape_runs_backward_once():
     assert x.grad[0] == 3.0
 
 
-def test_backward_memory_stays_near_the_forward_hold():
-    """40 chained scales over a 1 MB tensor: backward frees each activation and
-    gradient as it goes, so its peak stays near what the forward holds, and
-    afterwards only the leaf's gradient and the last output remain."""
+def _chain_memory(op):
+    """(before, held, peak, after) traced bytes around 40 chained ``op`` calls
+    over a 1 MB float32 leaf and the backward of their sum."""
     mb = 1 << 20
     x = T.Tensor(np.ones(mb // 4, dtype=np.float32), requires_grad=True)
     tracemalloc.start()
@@ -452,7 +468,7 @@ def test_backward_memory_stays_near_the_forward_hold():
         with T.record() as tape:
             y = x
             for _ in range(40):
-                y = T.scale(y, 1.001)
+                y = op(y)
             loss = T.sum_all(y)
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -460,20 +476,42 @@ def test_backward_memory_stays_near_the_forward_hold():
             after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert x.grad.shape == x.shape
+    return before, held, peak, after
+
+
+def test_forward_holds_only_what_derivatives_read():
+    """scale's derivative reads no array, so 40 chained scales over 1 MB keep
+    only the last output alive until backward."""
+    before, held, _, _ = _chain_memory(lambda y: T.scale(y, 1.001))
+    assert held - before <= 2 * (1 << 20)
+
+
+def test_backward_memory_stays_near_the_forward_hold():
+    """40 chained sigmoids over a 1 MB tensor, whose derivative reads each
+    output: backward frees each activation and gradient as it goes, so its
+    peak stays near what the forward holds, and afterwards only the leaf's
+    gradient and the last output remain."""
+    mb = 1 << 20
+    before, held, peak, after = _chain_memory(T.sigmoid)
     assert held - before > 40 * mb
     assert peak <= held + 8 * mb
     assert after - before <= 8 * mb
-    assert x.grad.shape == x.shape
+
+
+def _synth64_first_batch():
+    """(config, vocab, cluster map, first batch) of a fast-mode synth-64 run."""
+    config = apply_preset(TrainConfig(), "synth-64")
+    sc = make_synthetic_corpus(n_train=64, n_test=8, seed=config.seed)
+    train_ds, _, vocab = corpus_datasets(sc, max_len=config.max_len)
+    cmap = build_cluster_map(build_label_reps(train_ds), config.cluster_size, config.seed)
+    return config, vocab, cmap, next(batch_iter(train_ds, config.batch_size, seed=config.seed, epoch=1))
 
 
 def test_synth64_train_step_matches_keep_all_backward(monkeypatch):
     """One fast-mode synth-64 step writes the same gradients and weights
     whether backward releases its nodes or keeps them all."""
-    config = apply_preset(TrainConfig(), "synth-64")
-    sc = make_synthetic_corpus(n_train=64, n_test=8, seed=config.seed)
-    train_ds, _, vocab = corpus_datasets(sc, max_len=config.max_len)
-    cmap = build_cluster_map(build_label_reps(train_ds), config.cluster_size, config.seed)
-    batch = next(batch_iter(train_ds, config.batch_size, seed=config.seed, epoch=1))
+    config, vocab, cmap, batch = _synth64_first_batch()
 
     def step():
         bundle = init_bundle(config, vocab.size, cmap)
@@ -483,3 +521,17 @@ def test_synth64_train_step_matches_keep_all_backward(monkeypatch):
     released = step()
     monkeypatch.setattr(T.Tape, "backward", _keep_all_backward)
     assert step() == released
+
+
+def test_taped_closures_hold_no_op_output():
+    """After a synth-64 joint forward, no backward closure on the tape holds a
+    tensor other than a leaf, so the forward frees every output that no
+    derivative reads."""
+    config, vocab, cmap, batch = _synth64_first_batch()
+    bundle = init_bundle(config, vocab.size, cmap)
+    with T.record() as tape:
+        joint_losses(batch, bundle, b_top=config.b_top, training=True)
+        cells = [c.cell_contents for _, fn, _ in tape._nodes for c in fn.__closure__ or ()]
+    assert len(tape) == 165 and cells
+    held = [v for c in cells for v in (c if isinstance(c, (list, tuple)) else (c,))]
+    assert not [v for v in held if isinstance(v, T.Tensor) and v._slot is not None]
