@@ -30,7 +30,6 @@ from .corpus import (Document, Vocab, XmcDataset, batch_iter, build_vocab, load_
 from .encoder import BLOCK_DROPOUT, encoder_grad_check, layers_concatenated
 from .errors import ConfigError, ParseError, UsageError, XmcError
 from .predict import BATCH_SIZE, evaluate, predict_batch
-from .recall import check_b_top
 from .synth import make_synthetic_corpus
 from .trainer import (GRAD_CLIP, PRESETS, WEIGHT_DECAY, TrainConfig, apply_preset, load_bundle,
                       micro_joint_grad_check, train)
@@ -263,9 +262,10 @@ def _check_label_count(path: Path, num_labels: int, train_labels: int) -> None:
         raise UsageError(f"{path}:1: header says {num_labels} labels, the training set has {train_labels}")
 
 
-def _load_run(ckpt_path: Path, b_top: int | None, weights: str):
+def _load_run(ckpt_path: Path, b_top: int | None, weights: str, ensemble: bool = False):
     """(view with the ``--weights`` choice, config, vocab, b_top) from a checkpoint and its
-    sibling manifest; ``b_top`` is the flag's value, else the one the run trained with."""
+    sibling manifest; ``b_top`` is the flag's value, else the one the run trained with, in
+    [1, K] for the run's K clusters (an ensemble member clamps a larger one to K)."""
     manifest_path = ckpt_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"no manifest.json next to {ckpt_path}")
@@ -275,13 +275,16 @@ def _load_run(ckpt_path: Path, b_top: int | None, weights: str):
         raise UsageError(f"{manifest_path}:1: no artifacts object; not a train manifest")
     if b_top is None and config.b_top is None:
         raise UsageError(f"{manifest_path}: b_top is null (the run predates recording it); pass --b-top")
+    source, b_top = (manifest_path, config.b_top) if b_top is None else ("--b-top", b_top)
     vocab = Vocab.load(_require_file(artifacts.get("vocab"), "vocab artifact"))
     cmap = ClusterMap.load(_require_file(artifacts.get("clusters"), "cluster map artifact"))
+    if b_top < 1 or (b_top > cmap.num_clusters and not ensemble):
+        raise UsageError(f"{source}: b_top={b_top} outside [1, {cmap.num_clusters}]")
     bundle = load_bundle(ckpt_path, config, vocab.size, cmap)
     if weights == "swa" and not bundle.swa_available():
         raise UsageError(f"--weights swa: {ckpt_path} has no SWA records")
     view = bundle.inference_params({"auto": None, "swa": True, "raw": False}[weights])
-    return view, config, vocab, config.b_top if b_top is None else b_top
+    return view, config, vocab, b_top
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +358,6 @@ def cmd_predict(args) -> int:
     docs = [Document(i, tokenize(line, vocab, config.max_len), (), None) for i, line in enumerate(lines)]
     dataset = XmcDataset(docs, bundle.num_labels, feature_dim=0, split="test", vocab=vocab)
 
-    # checked before --out is touched, so a bad value leaves an old file as it was
-    check_b_top(b_top, bundle.cluster_map.num_clusters)
     with atomic_write(out_path) if out_path else contextlib.nullcontext(sys.stdout) as sink:
         for batch in batch_iter(dataset, BATCH_SIZE, seed=0, shuffle=False):
             for pred in predict_batch(batch.token_ids, batch.mask, bundle, b_top, args.k):
@@ -384,7 +385,7 @@ def cmd_eval(args) -> int:
     ckpts = [args.ckpt] if args.ckpt else args.ensemble.split(",")
     if "" in ckpts:
         raise UsageError(f"--ensemble: member {ckpts.index('') + 1} is empty")
-    loaded = [_load_run(_require_file(c, "checkpoint"), args.b_top, args.weights) for c in ckpts]
+    loaded = [_load_run(_require_file(c, "checkpoint"), args.b_top, args.weights, bool(args.ensemble)) for c in ckpts]
     bundles = [b for b, _, _, _ in loaded]
     _, config, vocab, b_top = loaded[0]
     # every member reads the token ids encoded once with the first member's vocab and max_len

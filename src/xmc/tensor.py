@@ -15,6 +15,12 @@ gradient :class:`_Slot` and the arrays its derivative reads, never a tensor;
 its closure takes the inputs' accumulators (slots, or untaped tensors) as
 arguments.  An activation no derivative reads dies with its last reference.
 
+A slot keeps the first gradient it is handed, without a copy, and adds later
+ones out of place, as PyTorch's ``AccumulateGrad`` does.  That holds because no
+closure writes into the ``g`` it is handed or into an array it handed on, so
+slots may share an array (``add``, ``add_n``, ``_unbroadcast``).  A tensor
+copies its first gradient into a buffer in data's layout, turning -0.0 into +0.0.
+
 Two global numeric modes exist: fast (float32) and verification (float64 with
 NaN/Inf checking), toggled by :func:`set_verify_mode`.
 """
@@ -26,6 +32,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import erf
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError
@@ -59,54 +66,19 @@ def verify_enabled() -> bool:
     return _nan_check
 
 
-class _Grad:
-    """A gradient accumulator: a tensor's own, or the slot of a taped op output."""
+class _Slot:
+    """A taped op output's gradient, kept by its node: the array it was handed, or a sum made out of place."""
 
-    __slots__ = ("_grad", "grad_rows", "requires_grad")
+    __slots__ = ("_grad",)
+
+    def __init__(self):
+        self._grad: np.ndarray | None = None
 
     def _accum(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self._grad is None:
-            # zeros + g in one pass: data's layout and dtype, and -0.0 becomes +0.0
-            self._grad = np.add(g, 0.0, out=self._buffer(zeroed=False))
-        else:
-            self._grad += g
-        self.grad_rows = None
-
-    def _accum_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Add ``values`` to the sorted, distinct ``rows`` of the gradient."""
-        if not self.requires_grad:
-            return
-        if self._grad is None:
-            self._grad = self._buffer(zeroed=True)
-            self.grad_rows = rows
-        elif self.grad_rows is not None:
-            self.grad_rows = np.union1d(self.grad_rows, rows)
-        self._grad[rows] += values
+        self._grad = g if self._grad is None else self._grad + g
 
 
-class _Slot(_Grad):
-    """The gradient of a taped op output: its tape node keeps this, not the output."""
-
-    __slots__ = ("shape", "dtype", "_strides")
-
-    def __init__(self, data: np.ndarray):
-        self._grad = self.grad_rows = None
-        self.requires_grad = True
-        self.shape, self.dtype = data.shape, data.dtype
-        self._strides = None if data.flags.c_contiguous else data.strides
-
-    def _buffer(self, zeroed: bool) -> np.ndarray:
-        # the layout np.empty_like(data) gives: C order, or else data's axes from the largest stride down
-        make = np.zeros if zeroed else np.empty
-        if self._strides is None:
-            return make(self.shape, self.dtype)
-        axes = sorted(range(len(self.shape)), key=lambda i: -abs(self._strides[i]))
-        return make([self.shape[i] for i in axes], self.dtype).transpose(sorted(axes, key=axes.__getitem__))
-
-
-class Tensor(_Grad):
+class Tensor:
     """A dense row-major array plus an optional same-shape grad accumulator.
 
     ``grad_rows`` is a hint kept next to the dense gradient: when it is not
@@ -119,7 +91,7 @@ class Tensor(_Grad):
     row-hinted one zeroes only the rows the last hint named.
     """
 
-    __slots__ = ("data", "_spare", "_slot")
+    __slots__ = ("data", "requires_grad", "_grad", "grad_rows", "_spare", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_dtype)
@@ -160,6 +132,27 @@ class Tensor(_Grad):
         self._grad = None
         self.grad_rows = None
 
+    def _accum(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
+        if self._grad is None:
+            # zeros + g in one pass: data's layout and dtype, and -0.0 becomes +0.0
+            self._grad = np.add(g, 0.0, out=self._buffer(zeroed=False))
+        else:
+            self._grad += g
+        self.grad_rows = None
+
+    def _accum_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Add ``values`` to the sorted, distinct ``rows`` of the gradient."""
+        if not self.requires_grad:
+            return
+        if self._grad is None:
+            self._grad = self._buffer(zeroed=True)
+            self.grad_rows = rows
+        elif self.grad_rows is not None:
+            self.grad_rows = np.union1d(self.grad_rows, rows)
+        self._grad[rows] += values
+
     def _buffer(self, zeroed: bool) -> np.ndarray:
         """A gradient buffer in data's layout and dtype: the cleared one when it
         still fits ``data`` (verify mode and checkpoint loads swap ``data``)."""
@@ -176,6 +169,9 @@ class Tensor(_Grad):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+_Accum = _Slot | Tensor  # what a backward closure accumulates into: a slot, or an untaped tensor
 
 
 def constant(data) -> Tensor:
@@ -196,7 +192,7 @@ class Tape:
     __slots__ = ("_nodes", "_used")
 
     def __init__(self):
-        self._nodes: list[tuple[_Slot, Callable[..., None], list[_Grad]]] = []
+        self._nodes: list[tuple[_Slot, Callable[..., None], list[_Accum]]] = []
         self._used = False
 
     def __len__(self) -> int:
@@ -239,7 +235,7 @@ def _node(data, inputs: Sequence[Tensor], backward: Callable[..., None]) -> Tens
         if x.requires_grad:
             out = Tensor(data, True)
             if _active is not None:
-                out._slot = _Slot(out.data)
+                out._slot = _Slot()
                 _active._nodes.append((out._slot, backward, [i._slot or i for i in inputs]))
             return out
     return Tensor(data)
@@ -270,7 +266,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
 
-    def bwd(g: np.ndarray, a: _Grad, b: _Grad) -> None:
+    def bwd(g: np.ndarray, a: _Accum, b: _Accum) -> None:
         a._accum(np.matmul(g, np.swapaxes(bd, -1, -2)))
         b._accum(np.matmul(np.swapaxes(ad, -1, -2), g))
 
@@ -285,7 +281,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = flat @ wd
     y += b.data
 
-    def bwd(g: np.ndarray, x: _Grad, w: _Grad, b: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum, w: _Accum, b: _Accum) -> None:
         g = g.reshape(flat.shape[0], -1)
         b._accum(g.sum(axis=0))
         x._accum((g @ wd.T).reshape(x_shape))
@@ -298,7 +294,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
     a_shape, b_shape = a.shape, b.shape
 
-    def bwd(g: np.ndarray, a: _Grad, b: _Grad) -> None:
+    def bwd(g: np.ndarray, a: _Accum, b: _Accum) -> None:
         a._accum(_unbroadcast(g, a_shape))
         b._accum(_unbroadcast(g, b_shape))
 
@@ -308,7 +304,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def add_n(tensors: Sequence[Tensor]) -> Tensor:
     """Sum of same-shape tensors."""
 
-    def bwd(g: np.ndarray, *tensors: _Grad) -> None:
+    def bwd(g: np.ndarray, *tensors: _Accum) -> None:
         for t in tensors:
             t._accum(g)
 
@@ -319,7 +315,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     ad, bd = a.data, b.data
 
-    def bwd(g: np.ndarray, a: _Grad, b: _Grad) -> None:
+    def bwd(g: np.ndarray, a: _Accum, b: _Accum) -> None:
         a._accum(_unbroadcast(g * bd, ad.shape))
         b._accum(_unbroadcast(g * ad, bd.shape))
 
@@ -327,7 +323,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         x._accum(g * factor)
 
     return _node(x.data * factor, (x,), bwd)
@@ -336,7 +332,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     shape, dtype = x.shape, x.data.dtype
 
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         x._accum(np.full(shape, float(g), dtype))
 
     return _node(x.data.sum(), (x,), bwd)
@@ -349,7 +345,7 @@ def sum_all(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     x_shape = x.shape
 
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         x._accum(g.reshape(x_shape))
 
     return _node(x.data.reshape(shape), (x,), bwd)
@@ -358,7 +354,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         x._accum(np.transpose(g, inverse))
 
     return _node(np.transpose(x.data, axes), (x,), bwd)
@@ -368,7 +364,7 @@ def take(x: Tensor, index: int, axis: int) -> Tensor:
     """Select one slice along ``axis`` (the axis is dropped)."""
     shape, dtype = x.shape, x.data.dtype
 
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         z = np.zeros(shape, dtype)
         sl: list[slice | int] = [slice(None)] * len(shape)
         sl[axis] = index
@@ -381,7 +377,7 @@ def take(x: Tensor, index: int, axis: int) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
-    def bwd(g: np.ndarray, *tensors: _Grad) -> None:
+    def bwd(g: np.ndarray, *tensors: _Accum) -> None:
         for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
             t._accum(piece)
 
@@ -391,25 +387,24 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def _row_sums(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``ids`` and, for each, the sum of its slices of ``g``.
 
-    ``np.add.at`` into a zero buffer of one row per distinct id, through flat
-    element indices: every element of the sums receives the same additions,
-    in the same order, as ``np.add.at`` into a zero array of the weight's
-    shape, so the sums are bit-identical to it.
+    A product with the 0/1 matrix that maps each position to its id's row:
+    scipy adds each row's slices from 0.0 in position order, the additions
+    ``np.add.at`` into a zero array of the weight's shape makes, so the sums
+    are bit-identical to it.
     """
     rows, inverse = np.unique(ids, return_inverse=True)
-    width = math.prod(g.shape[ids.ndim :])
-    sums = np.zeros(rows.size * width, dtype=g.dtype)
-    np.add.at(sums, (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1), g.reshape(-1))
-    return rows, sums
+    n = ids.size
+    select = csr_array((np.ones(n, g.dtype), (inverse.reshape(-1), np.arange(n))), shape=(rows.size, n))
+    return rows, select @ g.reshape(n, math.prod(g.shape[ids.ndim :]))
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of ``weight`` by non-negative ``ids``; backward adds only
-    into the gathered rows of ``weight.grad`` and records them in
+    """Gather rows of a leaf ``weight`` by non-negative ``ids``; backward adds
+    only into the gathered rows of ``weight.grad`` and records them in
     ``weight.grad_rows``."""
     ids, row_shape = np.asarray(ids), weight.shape[1:]
 
-    def bwd(g: np.ndarray, weight: _Grad) -> None:
+    def bwd(g: np.ndarray, weight: Tensor) -> None:
         rows, sums = _row_sums(ids, g)
         weight._accum_rows(rows, sums.reshape(rows.shape + row_shape))
 
@@ -419,7 +414,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 def masked_fill(x: Tensor, keep: np.ndarray, fill: float) -> Tensor:
     """Where ``keep`` is False, replace by ``fill``; gradient passes only where kept."""
 
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         x._accum(np.where(keep, g, 0.0))
 
     return _node(np.where(keep, x.data, fill), (x,), bwd)
@@ -434,7 +429,7 @@ def sigmoid(x: Tensor) -> Tensor:
     z = np.exp(-np.abs(x.data))
     y = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         x._accum(g * y * (1.0 - y))
 
     return _node(y, (x,), bwd)
@@ -447,7 +442,7 @@ def gelu(x: Tensor) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
 
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
         d = -0.5 * xd
         d *= xd
@@ -472,12 +467,12 @@ def softmax(x: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         d = g * y
         np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
         d *= y
         if keep is not None:
-            d *= keep  # a signed zero where masked, which accumulates as +0.0
+            d *= keep  # a signed zero where masked, which a leaf accumulates as +0.0
         x._accum(d)
 
     return _node(y, (x,), bwd)
@@ -494,7 +489,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y = xhat * gd
     y += bias.data
 
-    def bwd(g: np.ndarray, x: _Grad, gain: _Grad, bias: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum, gain: _Accum, bias: _Accum) -> None:
         gain._accum(_unbroadcast(g * xhat, gain_shape))
         bias._accum(_unbroadcast(g, bias_shape))
         # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
@@ -521,7 +516,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     y = x.data * keep
     y *= factor
 
-    def bwd(g: np.ndarray, x: _Grad) -> None:
+    def bwd(g: np.ndarray, x: _Accum) -> None:
         d = g * keep
         d *= factor
         x._accum(d)
@@ -551,7 +546,7 @@ def bce_loss(p: Tensor, y: np.ndarray) -> Tensor:
     elem = -(y * np.log(pc) + (1.0 - y) * np.log(qc))
     denom = float(p.shape[0]) if p.ndim == 2 else 1.0
 
-    def bwd(g: np.ndarray, p: _Grad) -> None:
+    def bwd(g: np.ndarray, p: _Accum) -> None:
         p._accum(float(g) / denom * (-y / pc + (1.0 - y) / qc))
 
     return _node(elem.sum() / denom, (p,), bwd)

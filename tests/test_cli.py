@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from xmc import cli
 from xmc.cli import main, resolve_train_config, build_parser
+from xmc.cluster import ClusterMap
 from xmc.errors import ConfigError, UsageError
 from xmc.synth import make_synthetic_corpus
 from xmc.trainer import PRESETS, TrainConfig
@@ -465,14 +466,39 @@ def test_predict_k_zero_names_the_flag(capsys, trained_run, corpus_files):
 
 
 @pytest.mark.parametrize("command", ["predict", "eval", "ensemble"])
-def test_b_top_zero_is_out_of_range(capsys, trained_run, corpus_files, command):
+def test_b_top_zero_is_out_of_range(tmp_path, capsys, trained_run, command):
+    # refused before the inputs are read: reading this file would fail with its own location
+    unread = tmp_path / "unread.txt"
+    unread.write_bytes(b"\xff\xfe\n")
     ckpt = str(trained_run / "final.ckpt")
     source = ["--ensemble", f"{ckpt},{ckpt}"] if command == "ensemble" else ["--ckpt", ckpt]
-    inputs = ["--sparse", str(corpus_files["test_sparse"])] if command != "predict" else []
-    code = main(["predict" if command == "predict" else "eval", *source, *inputs,
-                 "--text", str(corpus_files["test_text"]), "--b-top", "0"])
-    assert code == 2
-    assert "b_top=0 outside [1, " in capsys.readouterr().err
+    inputs = ["--sparse", str(unread)] if command != "predict" else []
+    argv = ["predict" if command == "predict" else "eval", *source, *inputs, "--text", str(unread)]
+    k = ClusterMap.load(trained_run / "clusters.txt").num_clusters
+    assert main([*argv, "--b-top", "0"]) == 2
+    assert f"error: --b-top: b_top=0 outside [1, {k}]" in capsys.readouterr().err
+    # above K: refused for one checkpoint, while each ensemble member clamps it to its own K
+    assert main([*argv, "--b-top", str(k + 1)]) == 2
+    err = capsys.readouterr().err
+    if command == "ensemble":
+        assert "outside" not in err and f"error: {unread}:1:" in err
+    else:
+        assert f"error: --b-top: b_top={k + 1} outside [1, {k}]" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_manifest_b_top_out_of_range_names_the_manifest(tmp_path, trained_run, capsys, command):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    k = ClusterMap.load(run / "clusters.txt").num_clusters
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["config"]["b_top"] = k + 1
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    unread = tmp_path / "unread.txt"
+    unread.write_bytes(b"\xff\xfe\n")
+    inputs = ["--sparse", str(unread)] if command == "eval" else []
+    assert main([command, "--ckpt", str(run / "final.ckpt"), *inputs, "--text", str(unread)]) == 2
+    assert f"error: {run / 'manifest.json'}: b_top={k + 1} outside [1, {k}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["predict", "eval", "ensemble"])

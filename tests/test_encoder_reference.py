@@ -28,11 +28,14 @@ from helpers import verify_mode
 
 
 def _ref_accum(self, g):
+    if isinstance(self, Tensor):
+        if not self.requires_grad:
+            return
+        self.grad_rows = None
     if self._grad is None:
-        # a slot's buffer is a fresh one in the layout of its output's data
-        self._grad = np.zeros_like(self.data) if isinstance(self, Tensor) else self._buffer(zeroed=True)
+        # a slot starts from a fresh zero array of the gradient's shape
+        self._grad = np.zeros_like(self.data) if isinstance(self, Tensor) else np.zeros(g.shape, g.dtype)
     self._grad += g
-    self.grad_rows = None
 
 
 def _ref_linear(x, w, b):
@@ -74,15 +77,12 @@ def _ref_layer_norm(x, gain, bias, eps=1e-5):
     gd, gain_shape, bias_shape = gain.data, gain.shape, bias.shape
 
     def bwd(g, x, gain, bias):
-        if gain.requires_grad:
-            gain._accum(t._unbroadcast(g * xhat, gain_shape))
-        if bias.requires_grad:
-            bias._accum(t._unbroadcast(g, bias_shape))
-        if x.requires_grad:
-            dxhat = g * gd
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accum((dxhat - m1 - xhat * m2) * inv)
+        gain._accum(t._unbroadcast(g * xhat, gain_shape))
+        bias._accum(t._unbroadcast(g, bias_shape))
+        dxhat = g * gd
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        x._accum((dxhat - m1 - xhat * m2) * inv)
 
     return t._node(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 

@@ -10,6 +10,7 @@ and SWA averages must be equal, not merely close, in both numeric modes.
 """
 
 import gc
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -254,24 +255,30 @@ def test_dense_accum_after_embedding_drops_hint():
 
 
 def test_two_embedding_calls_sum_like_add_at():
-    with verify_mode():
-        rng = np.random.default_rng(6)
-        w = param((50, 4), rng)
-        ids_a, ids_b = rng.integers(0, 20, size=(3, 7)), rng.integers(10, 40, size=11)
-        g_a, g_b = rng.normal(size=(3, 7, 4)) * 1e3, rng.normal(size=(11, 4)) * 1e-3
-        with t.record() as tape:
-            tape.backward(t.add(t.sum_all(t.mul(t.embedding(w, ids_a), t.constant(g_a))),
-                                t.sum_all(t.mul(t.embedding(w, ids_b), t.constant(g_b)))))
-        # backward runs the second call first; each call's scatter is
-        # accumulated as a whole, as the dense backward did
-        first, second = np.zeros((50, 4)), np.zeros((50, 4))
-        np.add.at(first, ids_b, g_b)
-        np.add.at(second, ids_a, g_a)
-        expected = np.zeros((50, 4))
-        expected += first
-        expected += second
-        _assert_equal(w.grad, expected, "grad")
-        assert np.array_equal(w.grad_rows, np.union1d(ids_a, ids_b))
+    for verify, order in itertools.product((False, True), "CF"):
+        with verify_mode(verify):
+            rng = np.random.default_rng(6)
+            w = param((50, 4), rng)
+            ids_a, ids_b = rng.integers(0, 20, size=(3, 7)), rng.integers(10, 40, size=11)
+            g_a, g_b = rng.normal(size=(3, 7, 4)) * 1e3, rng.normal(size=(11, 4)) * 1e-3
+            g_a[rng.random(g_a.shape) < 0.3] = -0.0
+            ids_a[0, 0], g_a[0, 0] = 45, -0.0  # a row that only -0.0 reaches sums to +0.0
+            g_a, g_b = (np.asarray(g, w.data.dtype, order=order) for g in (g_a, g_b))
+            with t.record() as tape:
+                # the transpose hands the first embedding an F-order gradient
+                emb_a = t.transpose(t.embedding(w, ids_a), (2, 1, 0)) if order == "F" else t.embedding(w, ids_a)
+                tape.backward(t.add(t.sum_all(t.mul(emb_a, t.constant(g_a.T if order == "F" else g_a))),
+                                    t.sum_all(t.mul(t.embedding(w, ids_b), t.constant(g_b)))))
+            # backward runs the second call first; each call's scatter is
+            # accumulated as a whole, as the dense backward did
+            first, second = np.zeros_like(w.data), np.zeros_like(w.data)
+            np.add.at(first, ids_b, g_b)
+            np.add.at(second, ids_a, g_a)
+            expected = np.zeros_like(w.data)
+            expected += first
+            expected += second
+            assert w.grad.tobytes() == expected.tobytes(), f"{order} order, {w.data.dtype}"
+            assert np.array_equal(w.grad_rows, np.union1d(ids_a, ids_b))
 
 
 # ---------------------------------------------------------------------------

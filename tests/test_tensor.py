@@ -1,6 +1,7 @@
 """Tensor-core unit tests: op semantics and finite-difference fidelity."""
 
 import ast
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -15,7 +16,8 @@ from xmc.cluster import build_cluster_map, build_label_reps
 from xmc.corpus import batch_iter
 from xmc.errors import ConfigError, ContractError, DimensionError, NumericError
 from xmc.synth import make_synthetic_corpus
-from xmc.trainer import TrainConfig, apply_preset, build_micro_problem, init_bundle, joint_losses, train_step
+from xmc.trainer import (TrainConfig, apply_preset, build_micro_problem, build_static_cache, init_bundle, joint_losses,
+                         train_step)
 
 from helpers import corpus_datasets, verify_mode
 
@@ -436,17 +438,6 @@ def test_backward_releases_nodes_and_op_output_grads():
     assert {n: g.tobytes() for n, g in grads.items()} == {n: g.tobytes() for n, g in ref.items()}
 
 
-def test_slot_buffer_takes_the_layout_empty_like_gives():
-    base = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5)
-    views = [base, base.transpose(0, 2, 1, 3), base.transpose(0, 1, 3, 2), base[:, :, 0].T, np.asfortranarray(base),
-             base[:, ::2], base[::-1], np.ones((4, 1, 3)).transpose(1, 0, 2), np.float64(2.0) * np.ones(())]
-    for data in views:
-        for zeroed in (False, True):
-            buf = T._Slot(data)._buffer(zeroed)
-            assert (buf.shape, buf.dtype, buf.strides) == (data.shape, data.dtype, np.empty_like(data).strides)
-            assert not zeroed or not buf.any()
-
-
 def test_tape_runs_backward_once():
     x = T.Tensor([2.0], requires_grad=True)
     with T.record() as tape:
@@ -499,12 +490,18 @@ def test_backward_memory_stays_near_the_forward_hold():
     assert after - before <= 8 * mb
 
 
-def _synth64_first_batch():
-    """(config, vocab, cluster map, first batch) of a fast-mode synth-64 run."""
-    config = apply_preset(TrainConfig(), "synth-64")
+def _synth64_data(sampling="dynamic"):
+    """(config, training set, vocab, cluster map) of a synth-64 run in the current mode."""
+    config = apply_preset(TrainConfig(sampling_mode=sampling), "synth-64")
     sc = make_synthetic_corpus(n_train=64, n_test=8, seed=config.seed)
     train_ds, _, vocab = corpus_datasets(sc, max_len=config.max_len)
     cmap = build_cluster_map(build_label_reps(train_ds), config.cluster_size, config.seed)
+    return config, train_ds, vocab, cmap
+
+
+def _synth64_first_batch():
+    """(config, vocab, cluster map, first batch) of a fast-mode synth-64 run."""
+    config, train_ds, vocab, cmap = _synth64_data()
     return config, vocab, cmap, next(batch_iter(train_ds, config.batch_size, seed=config.seed, epoch=1))
 
 
@@ -535,3 +532,100 @@ def test_taped_closures_hold_no_op_output():
     assert len(tape) == 165 and cells
     held = [v for c in cells for v in (c if isinstance(c, (list, tuple)) else (c,))]
     assert not [v for v in held if isinstance(v, T.Tensor) and v._slot is not None]
+
+
+# ---------------------------------------------------------------------------
+# slots adopt the gradient they are handed
+
+
+def _synth64_steps(sampling, steps):
+    """Parameters, Adam moments and leaf gradients, as bytes, after ``steps``
+    synth-64 train steps in the current mode."""
+    config, train_ds, vocab, cmap = _synth64_data(sampling)
+    bundle = init_bundle(config, vocab.size, cmap)
+    cache = build_static_cache(train_ds, bundle) if sampling == "static" else None
+    for batch in itertools.islice(batch_iter(train_ds, config.batch_size, seed=config.seed, epoch=1), steps):
+        train_step(batch, bundle, config, config.b_top, cache)
+    state = {n: (p.data.tobytes(), p.grad.tobytes()) for n, p in bundle.params.items()}
+    return state, {n: (bundle.opt.m[n].tobytes(), bundle.opt.v[n].tobytes()) for n in bundle.opt.m}
+
+
+@pytest.mark.parametrize("sampling", ["dynamic", "static"])
+@pytest.mark.parametrize("verify", [False, True], ids=["float32", "float64"])
+def test_no_backward_closure_writes_into_a_slot_gradient(monkeypatch, verify, sampling):
+    """Every array a slot holds is made read-only and a synth-64 train step
+    still runs: no closure writes into the gradient it is handed, or into one
+    it handed on, so slots may keep and share what they are handed."""
+    accum = T._Slot._accum
+
+    def read_only(self, g):
+        assert g.dtype == T.default_dtype()
+        accum(self, g)
+        self._grad.flags.writeable = False
+
+    monkeypatch.setattr(T._Slot, "_accum", read_only)
+    with verify_mode(verify):
+        state, moments = _synth64_steps(sampling, steps=1)
+    assert len(state) == len(moments) > 0
+
+
+def test_slots_share_a_gradient_and_sum_out_of_place(monkeypatch):
+    """add hands one array to the slots of a and b; a's other consumer then
+    adds to a's gradient, which must leave b's untouched."""
+    held = []
+    accum = T._Slot._accum
+
+    def recording(self, g):
+        held.append((self, g, g.copy()))
+        accum(self, g)
+
+    x = T.Tensor([1.0, 2.0, 4.0], requires_grad=True)
+    k = np.array([1.0, 3.0, 5.0])
+    monkeypatch.setattr(T._Slot, "_accum", recording)
+    with T.record() as tape:
+        a, b = T.scale(x, 2.0), T.scale(x, 3.0)
+        loss = T.add(T.sum_all(T.mul(a, T.constant(k))), T.sum_all(T.add(a, b)))
+        tape.backward(loss)
+    to_a = [g for slot, g, _ in held if slot is a._slot]
+    (to_b, copy_b), = [(g, c) for slot, g, c in held if slot is b._slot]
+    assert len(to_a) == 2 and to_a[0] is to_b
+    assert to_b.tobytes() == copy_b.tobytes()
+    assert x.grad.tobytes() == (2.0 * k + 5.0).astype(x.data.dtype).tobytes()
+
+
+class _CopyingSlot:
+    """The slot before slots adopted their gradients: it copies the first one
+    into a fresh buffer in the layout ``np.empty_like`` gives its output's
+    data, which turns -0.0 into +0.0, and adds later ones in place."""
+
+    __slots__ = ("_grad", "_data")
+
+    def __init__(self, data):
+        self._grad, self._data = None, data
+
+    def _accum(self, g):
+        if self._grad is None:
+            self._grad = np.add(g, 0.0, out=np.empty_like(self._data))
+        else:
+            self._grad += g
+
+
+def _copying_node(data, inputs, backward):
+    """``tensor._node`` with a copying slot on each taped output."""
+    out = T.Tensor(data, any(x.requires_grad for x in inputs))
+    if out.requires_grad and T._active is not None:
+        out._slot = _CopyingSlot(out.data)
+        T._active._nodes.append((out._slot, backward, [i._slot or i for i in inputs]))
+    return out
+
+
+@pytest.mark.parametrize("sampling", ["dynamic", "static"])
+@pytest.mark.parametrize("verify", [False, True], ids=["float32", "float64"])
+def test_train_steps_match_the_copying_slot(monkeypatch, verify, sampling):
+    """Four synth-64 train steps leave parameters, Adam moments and leaf
+    gradients byte-identical whether slots keep or copy their gradients."""
+    with verify_mode(verify):
+        adopted = _synth64_steps(sampling, steps=4)
+        monkeypatch.setattr(T, "_node", _copying_node)
+        copied = _synth64_steps(sampling, steps=4)
+    assert copied == adopted
