@@ -1,34 +1,32 @@
 """End-to-end inference and P@k evaluation.
 
-One batched path (``_score_batch``) encodes a batch once, samples each row's
-candidates from its top ``b_top`` clusters and ranks all rows' candidates as
-one padded block.  A label's fused score is its cluster's recall probability
-times its own rank probability.  ``predict_batch`` takes the top K by that
-score; ``ensemble_predict`` averages it over the union of the members'
-candidates (a member that did not recall a label adds 0); ``evaluate`` takes
-cluster recall from the clusters each member just ranked.  No positives are
-injected at inference, so fewer than K candidates may exist; short result
-lists are returned as-is and flagged.
+Scoring is training's forward pass (``trainer.forward``) with dropout off and
+no positives: it encodes a batch once, samples each row's candidates from its
+top ``b_top`` clusters and ranks all rows' candidates as one padded block.  A
+label's fused score is its cluster's recall probability times its own rank
+probability.  ``predict_batch`` takes the top K by that score;
+``ensemble_predict`` averages it over the union of the members' candidates (a
+member that did not recall a label adds 0); ``evaluate`` takes cluster recall
+from the clusters each member just ranked.  No positives are injected, so
+fewer than K candidates may exist; short result lists are returned as-is and
+flagged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .cluster import ClusterMap
 from .corpus import XmcDataset, batch_iter
-from .encoder import encode
 from .errors import ConfigError
-from .rank import gather_embeddings, pad_candidates, rank_scores
-from .recall import recall_scores, sample_candidates
-# the benchmark's tracer (perfbench/spans.py) wraps top_clusters under this module's name
-from .recall import top_clusters  # noqa: F401
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .trainer import ModelBundle
+from .trainer import ModelBundle, forward
+# only for the benchmark's tracer (perfbench/spans.py), which wraps these names here
+from .encoder import encode  # noqa: F401
+from .rank import gather_embeddings, rank_scores  # noqa: F401
+from .recall import recall_scores, top_clusters  # noqa: F401
 
 BATCH_SIZE = 64  # documents per inference batch of evaluate and xmc predict
 
@@ -68,14 +66,10 @@ class EvalReport:
         return " ".join(parts)
 
 
-def _score_batch(view: "ModelBundle", token_ids: np.ndarray, mask: np.ndarray, b_top: int):
+def _score_batch(view: ModelBundle, token_ids: np.ndarray, mask: np.ndarray, b_top: int):
     """Per row of a padded batch: (candidate set, fused score of each candidate)."""
-    rep = encode(token_ids, mask, view.enc_config, view.params, training=False, rng=view.rng)
-    cluster_probs = recall_scores(rep, view.generator).data
-    sets = sample_candidates(cluster_probs, view.cluster_map, b_top)
-    ids, _, _ = pad_candidates(sets)
-    gathered = gather_embeddings(view.discriminator.label_emb, ids)
-    rank_probs = rank_scores(rep, gathered, view.discriminator).data
+    cluster_probs, sets, rank_probs, _, _ = forward(view, token_ids, mask, b_top, training=False)
+    cluster_probs, rank_probs = cluster_probs.data, rank_probs.data
     return [(cs, cluster_probs[row, cs.clusters] * rank_probs[row, : len(cs)]) for row, cs in enumerate(sets)]
 
 
@@ -87,7 +81,7 @@ def _top_k(labels: np.ndarray, fused: np.ndarray, k: int, recalled: list[np.ndar
 def predict_batch(
     token_ids: np.ndarray,
     mask: np.ndarray,
-    bundle: "ModelBundle",
+    bundle: ModelBundle,
     b_top: int,
     k: int,
 ) -> list[Prediction]:
@@ -99,7 +93,7 @@ def predict_batch(
 
 
 def ensemble_predict(
-    bundles: Sequence["ModelBundle"],
+    bundles: Sequence[ModelBundle],
     token_ids: np.ndarray,
     mask: np.ndarray,
     b_top: int,
@@ -146,7 +140,7 @@ def cluster_recall(recalled: np.ndarray, truth: Iterable[int], cmap: ClusterMap)
 
 def evaluate(
     dataset: XmcDataset,
-    bundles: Sequence["ModelBundle"],
+    bundles: Sequence[ModelBundle],
     b_top: int,
     ks: tuple[int, ...] = (1, 3, 5),
 ) -> EvalReport:

@@ -1,11 +1,11 @@
 """Joint training of encoder, recall head and rank head.
 
-One training step: encode the batch, score all clusters, sample candidate
-labels from the current scores (with positives injected), score the whole
-batch's candidates as one padded block on the batched rank path that
-prediction shares, and take one AdamW step on the sum of the recall and rank
-losses.  The encoder receives gradient from both losses.  Static-sampling
-mode freezes candidate sets built once from a model snapshot.
+``forward``, the one forward pass of training and inference, encodes a batch
+once, scores all clusters, samples candidate labels from those scores unless
+they are given, and scores the batch's candidates as one padded block.  A
+training step adds the recall and rank losses and takes one AdamW step on
+their sum, so the encoder receives gradient from both.  Static-sampling mode
+freezes candidate sets built once from a model snapshot.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .corpus import Batch, Document, Vocab, XmcDataset, batch_iter
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .errors import ConfigError, ContractError, TrainingError
 from .optim import OptimizerState, SwaState, adamw_step, clip_grads, swa_update
-from .predict import evaluate
 from .rank import DiscriminatorParams, gather_embeddings, init_discriminator, pad_candidates, rank_loss, rank_scores
 from .recall import (CandidateSet, GeneratorParams, check_b_top, init_generator, recall_loss, recall_scores,
                      sample_candidates)
@@ -176,7 +175,7 @@ def build_static_cache(dataset: XmcDataset, bundle: ModelBundle) -> list[Candida
     config = bundle.config
     sets: list[CandidateSet] = [None] * len(dataset)  # type: ignore[list-item]
     for batch in batch_iter(dataset, max(config.batch_size, 32), seed=0, shuffle=False):
-        *_, sampled = joint_losses(batch, bundle, b_top=config.b_top, training=False)
+        sampled = forward(bundle, batch.token_ids, batch.mask, config.b_top, False, positives=batch.labels)[1]
         for idx, cs in zip(batch.doc_indices, sampled):
             sets[idx] = cs
     return sets
@@ -189,35 +188,36 @@ def resolve_b_top(config: TrainConfig, dataset: XmcDataset, cmap: ClusterMap) ->
     return default_b_top(dataset.avg_positives(), cmap.num_clusters)
 
 
-def joint_losses(
-    batch: Batch,
-    bundle: ModelBundle,
-    candidates: list[CandidateSet] | None = None,
-    b_top: int | None = None,
-    training: bool = True,
-):
-    """Forward pass producing (total, loss_g, loss_d, candidates).
+def forward(bundle: ModelBundle, token_ids: np.ndarray, mask: np.ndarray, b_top: int | None, training: bool,
+            positives: list | None = None, candidates: list[CandidateSet] | None = None):
+    """Both heads on one text representation: (cluster probs, candidate sets, rank probs, keep,
+    flags).  Candidates are sampled from this pass's cluster probs unless given, with
+    ``positives`` injected when passed; rank probs, keep and flags are padded to (B, n_max)."""
+    rep = encode(token_ids, mask, bundle.enc_config, bundle.params, training, bundle.rng)
+    cluster_probs = recall_scores(rep, bundle.generator)
+    if candidates is None:
+        candidates = sample_candidates(cluster_probs.data, bundle.cluster_map, b_top, positives=positives)
+    ids, keep, flags = pad_candidates(candidates)
+    gathered = gather_embeddings(bundle.discriminator.label_emb, ids)
+    rank_probs = rank_scores(rep, gathered, bundle.discriminator)
+    return cluster_probs, candidates, rank_probs, keep, flags
+
+
+def joint_losses(batch: Batch, bundle: ModelBundle, candidates: list[CandidateSet] | None = None,
+                 b_top: int | None = None, training: bool = True):
+    """The two losses on one ``forward``: (total, loss_g, loss_d, candidates).
 
     When ``candidates`` is None they are sampled dynamically from this
     forward's recall scores (training-time positive injection included).
     """
-    cmap = bundle.cluster_map
-    rep = encode(batch.token_ids, batch.mask, bundle.enc_config, bundle.params, training, bundle.rng)
-    scores = recall_scores(rep, bundle.generator)
-    targets = np.stack([cluster_targets(labels, cmap) for labels in batch.labels])
-    loss_g = recall_loss(scores, targets)
-
-    if candidates is None:
-        if b_top is None:
-            raise ContractError("dynamic sampling requires b_top")
-        candidates = sample_candidates(scores.data, cmap, b_top, positives=batch.labels)
-
-    ids, keep, flags = pad_candidates(candidates)
-    gathered = gather_embeddings(bundle.discriminator.label_emb, ids)
-    probs = rank_scores(rep, gathered, bundle.discriminator)
-    loss_d = rank_loss(probs, flags, keep)
-    total = t.add_n([loss_g, loss_d])
-    return total, loss_g, loss_d, candidates
+    if candidates is None and b_top is None:
+        raise ContractError("dynamic sampling requires b_top")
+    targets = np.stack([cluster_targets(labels, bundle.cluster_map) for labels in batch.labels])
+    cluster_probs, candidates, rank_probs, keep, flags = forward(bundle, batch.token_ids, batch.mask, b_top,
+                                                                 training, batch.labels, candidates)
+    loss_g = recall_loss(cluster_probs, targets)
+    loss_d = rank_loss(rank_probs, flags, keep)
+    return t.add_n([loss_g, loss_d]), loss_g, loss_d, candidates
 
 
 def train_step(
@@ -315,6 +315,7 @@ def train(
             "loss_d": sum_d / max(steps, 1),
         }
         if dev is not None:
+            from .predict import evaluate  # imported here: predict builds on this module
             report = evaluate(dev, [bundle.inference_params(False)], b_top=b_top)
             record.update(
                 p1=report.precision[1],
@@ -385,14 +386,14 @@ def micro_joint_grad_check(seed: int = 3) -> float:
     """
     config, dataset, bundle = build_micro_problem(seed)
     batch = next(batch_iter(dataset, config.batch_size, seed=config.seed, epoch=1))
-    _, _, _, candidates = joint_losses(batch, bundle, b_top=config.b_top, training=False)
+    candidates = forward(bundle, batch.token_ids, batch.mask, config.b_top, False, positives=batch.labels)[1]
 
-    def forward():
+    def loss():
         bundle.rng = np.random.default_rng(17)
         total, *_ = joint_losses(batch, bundle, candidates=candidates, training=True)
         return total
 
-    return t.grad_check(forward, list(bundle.params.values()))
+    return t.grad_check(loss, list(bundle.params.values()))
 
 
 def load_bundle(ckpt_path: str | Path, config: TrainConfig, vocab_size: int, cluster_map: ClusterMap) -> ModelBundle:
