@@ -67,6 +67,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Every record of a checkpoint, each read from the file straight into its
     own array; a short, damaged or repeated record is a ParseError naming its byte."""
     out: dict[str, np.ndarray] = {}
+    if os.path.isdir(path):
+        raise ParseError(f"{path} is a directory, not a checkpoint")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)

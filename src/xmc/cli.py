@@ -163,12 +163,13 @@ def _coerce(where: str, key: str, value, spec: tuple | None = None):
     raise UsageError(f"{where}: {key} must be {want}, got {value!r}")
 
 
-def resolve_train_config(args) -> TrainConfig:
+def resolve_train_config(args, where: dict | None = None) -> TrainConfig:
     """Defaults < preset < --config file < explicit flags.  A preset named in
-    the config file applies beneath that file's values, as --preset does."""
+    the config file applies beneath that file's values, as --preset does.
+    ``where`` gains the flag or ``file:line`` that set each field."""
     flags = {name: _coerce(_flag(name), name, value)
              for name in _SCHEMA if (value := getattr(args, name)) is not None}
-    where: dict[str, str] = {}
+    where = {} if where is None else where
     file_values = _read_config_file(Path(args.config), where) if args.config else {}
     where.update((name, _flag(name)) for name in flags)
     preset = flags.get("preset") or file_values.get("preset")
@@ -225,14 +226,16 @@ def _require_file(path_str: str | None, what: str) -> Path:
 # dataset assembly shared by train / ablate
 
 
-def _load_train_data(args, config: TrainConfig, cmap: ClusterMap | None = None):
+def _load_train_data(args, config: TrainConfig, cmap: ClusterMap | None = None, where: dict | None = None):
     """(out dir, train set, dev set or None, vocab, input paths) from the train/ablate flags; a
-    ``cmap`` over another label count is refused before anything is written."""
+    ``cmap`` over another label count, or with fewer clusters than b_top (set at ``where``), is
+    refused before anything is written."""
     if not args.out_dir:
         raise UsageError(f"{args.command} requires --out-dir")
     out_dir, corpus = Path(args.out_dir), make_synthetic_corpus(seed=config.seed) if args.synth else None
     if corpus is not None and cmap is not None:  # checked before the corpus is written
         _check_label_count(args.clusters, cmap.num_labels, corpus.num_labels)
+        _check_b_top(config, where, cmap)
     out_dir.mkdir(parents=True, exist_ok=True)
     if corpus is not None:
         paths = corpus.write(out_dir / "data")
@@ -250,11 +253,19 @@ def _load_train_data(args, config: TrainConfig, cmap: ClusterMap | None = None):
     train_ds = load_dataset(inputs["sparse"], inputs["text"], vocab, max_len=config.max_len, split="train")
     if corpus is None and cmap is not None:
         _check_label_count(args.clusters, cmap.num_labels, train_ds.num_labels)
+        _check_b_top(config, where, cmap)
     dev_ds = None
     if "dev_sparse" in inputs:
         dev_ds = load_dataset(inputs["dev_sparse"], inputs["dev_text"], vocab, max_len=config.max_len, split="test")
         _check_label_count(inputs["dev_sparse"], dev_ds.num_labels, train_ds.num_labels)
     return out_dir, train_ds, dev_ds, vocab, inputs
+
+
+def _check_b_top(config: TrainConfig, where: dict, cmap: ClusterMap) -> None:
+    """A b_top above the run's cluster count, refused at the flag or config line (or preset) that set it."""
+    if config.b_top is not None and config.b_top > cmap.num_clusters:
+        raise UsageError(f"{where.get('b_top', where.get('preset'))}: b_top={config.b_top} "
+                         f"outside [1, {cmap.num_clusters}]")
 
 
 def _check_label_count(path: Path, num_labels: int, train_labels: int) -> None:
@@ -316,11 +327,14 @@ def cmd_cluster(args) -> int:
 
 def cmd_train(args) -> int:
     _check_out("--out-dir", args.out_dir, folder=True)
-    config = resolve_train_config(args)
+    config = resolve_train_config(args, where := {})
     cmap = ClusterMap.load(_require_file(args.clusters, "--clusters map file")) if args.clusters else None
-    out_dir, train_ds, dev_ds, vocab, inputs = _load_train_data(args, config, cmap)
+    out_dir, train_ds, dev_ds, vocab, inputs = _load_train_data(args, config, cmap, where)
     if cmap is not None:
         inputs["clusters"] = Path(args.clusters)
+    else:
+        cmap = build_cluster_map(build_label_reps(train_ds), config.cluster_size, config.seed)
+        _check_b_top(config, where, cmap)
 
     vocab_path = out_dir / "vocab.txt"
     vocab.save(vocab_path)
@@ -412,7 +426,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     _check_out("--out-dir", args.out_dir, folder=True)
-    config = resolve_train_config(args)
+    config = resolve_train_config(args, where := {})
     out_dir, train_ds, test_ds, vocab, inputs = _load_train_data(args, config)
     if test_ds is None:
         raise UsageError("ablate needs a dev/test split (--dev-sparse/--dev-text or --synth)")
@@ -424,6 +438,7 @@ def cmd_ablate(args) -> int:
     }
     # the variants differ in neither cluster_size nor seed, so they share one cluster map
     cmap = build_cluster_map(build_label_reps(train_ds), config.cluster_size, config.seed)
+    _check_b_top(config, where, cmap)
     precision: dict[str, dict[int, float]] = {}
     curves: dict[str, list[dict]] = {}
     for name, variant in variants.items():

@@ -259,13 +259,24 @@ def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_ru
     assert f"{bad}:{line}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--config", "--sparse", "--text", "--clusters"])
-def test_directory_input_exit_2(tmp_path, corpus_files, capsys, flag):
-    code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
-                 "--text", str(corpus_files["train_text"]),
-                 "--out-dir", str(tmp_path / "r"), flag, str(tmp_path), *TINY_FLAGS])
+@pytest.mark.parametrize("flag", ["--config", "--sparse", "--text", "--clusters", "predict --ckpt", "eval --ensemble"])
+def test_directory_input_exit_2(tmp_path, corpus_files, trained_run, capsys, flag):
+    command, _, flag = flag.rpartition(" ")
+    bad = tmp_path
+    if command:  # a directory named like a checkpoint, next to a run's manifest
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        bad = run / "dir.ckpt"
+        bad.mkdir()
+        ckpts = str(bad) if flag == "--ckpt" else f"{run / 'final.ckpt'},{bad}"
+        test_sparse = ["--sparse", str(corpus_files["test_sparse"])] if command == "eval" else []
+        code = main([command, flag, ckpts, "--text", str(corpus_files["test_text"]), *test_sparse])
+    else:
+        code = main(["train", "--sparse", str(corpus_files["train_sparse"]),
+                     "--text", str(corpus_files["train_text"]),
+                     "--out-dir", str(tmp_path / "r"), flag, str(tmp_path), *TINY_FLAGS])
     assert code == 2
-    assert f"{tmp_path} is a directory" in capsys.readouterr().err
+    assert f"{bad} is a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--dev-sparse", "--clusters"])
@@ -299,6 +310,25 @@ def test_synth_cluster_map_label_count_exit_2_before_writing(tmp_path, capsys):
     assert main(["train", "--synth", "--preset", "synth-64", "--clusters", str(bad), "--out-dir", str(out_dir)]) == 2
     assert f"error: {bad}:1: header says 4 labels, the training set has 64" in capsys.readouterr().err
     assert not (out_dir / "data").exists() and not (out_dir / "vocab.txt").exists()
+
+
+@pytest.mark.parametrize("command, source", [("train", "flag"), ("train", "config"), ("ablate", "flag")])
+def test_b_top_above_cluster_count_names_its_source(tmp_path, capsys, command, source):
+    """synth-64 has K = 8 clusters.  With --clusters, b_top is refused before anything is
+    written; without, once the map is built, before vocab.txt is written."""
+    config = tmp_path / "c.txt"
+    config.write_text("b_top=99\n")
+    given = ["--b-top", "99"] if source == "flag" else ["--config", str(config)]
+    clusters = tmp_path / "m8.txt"
+    clusters.write_text("8 64 8 0\n" + "".join(" ".join(map(str, range(c * 8, c * 8 + 8))) + "\n" for c in range(8)))
+    with_map = ["--clusters", str(clusters)] if (command, source) == ("train", "flag") else []
+    out_dir = tmp_path / "r"
+    assert main([command, "--synth", "--preset", "synth-64", *given, *with_map, "--out-dir", str(out_dir)]) == 2
+    at = "--b-top" if source == "flag" else f"{config}:1"
+    assert f"error: {at}: b_top=99 outside [1, 8]" in capsys.readouterr().err
+    assert not (out_dir / "vocab.txt").exists()
+    if with_map:
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("dev_flag", ["--dev-sparse", "--dev-text"])

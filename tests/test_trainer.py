@@ -1,5 +1,8 @@
 """Trainer tests: joint step semantics, static cache, SWA, determinism."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -340,3 +343,27 @@ def test_load_bundle_roundtrip(tmp_path):
     for name in bundle.params:
         assert np.allclose(loaded.params[name].data, bundle.params[name].data, atol=1e-6)
     assert loaded.swa_available()
+
+
+PIPELINE = ("encode", "recall_scores", "sample_candidates", "pad_candidates", "gather_embeddings", "rank_scores")
+MODULES = {"encoder", "recall", "rank", "trainer", "predict"}
+
+
+def test_forward_is_the_one_pipeline():
+    """Parse src/xmc: the six pipeline functions are called only in ``trainer.forward``,
+    once each.  The one exception is ``encode`` in ``encoder.encoder_grad_check``."""
+    calls = []
+    for path in sorted(Path(trainer_mod.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in MODULES:
+                    calls.append((where, func.attr))
+                elif isinstance(func, ast.Name):
+                    calls.append((where, func.id))
+    pipeline = sorted(call for call in calls if call[1] in PIPELINE)
+    assert pipeline == sorted([("trainer.forward", name) for name in PIPELINE]
+                              + [("encoder.encoder_grad_check", "encode")])
