@@ -25,8 +25,8 @@ class OptimizerState:
     """Per-parameter Adam moments plus the step size and decoupled decay.
 
     ``live`` holds, for a parameter of more than BLOCK elements whose
-    gradients have all carried a ``grad_rows`` hint since its moments were
-    created, the sorted union of those hints: outside it both moments are
+    gradients have all been blocks of rows (``grad_rows``) since its moments
+    were created, the sorted union of those rows: outside it both moments are
     exactly +0.0.  None, or no entry, means any row may have moved.
     """
 
@@ -81,16 +81,17 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
 
     A parameter of more than BLOCK elements is updated one block at a time
     with the elementwise operations of a whole-array update, in the same
-    order, so the result is identical.  Where its gradient's ``grad_rows``
-    hint is set, only those rows add gradient terms to the moments: on the
-    other rows the gradient is zero, and adding its terms would change at
-    most the sign of a zero moment.  A row outside every hint since the
+    order, so the result is identical.  Where its gradient is a block of
+    rows (``grad_rows``), only those rows add gradient terms to the moments:
+    on the other rows the gradient is zero, and adding its terms would change
+    at most the sign of a zero moment.  A row outside every block since the
     moments were created (``state.live``) has m = v = +0.0, so its whole
     update is the decay ``p *= shrink``: the step term is exactly +0.0, and
     p - (+0.0) is p.  While ``state.live`` holds a row set, each block gets
     the decay on every row and the rest of the update on its live rows
     alone, gathered into scratch.  Smaller parameters are updated whole,
-    with numpy's own temporaries, which cost no more than scratch views.
+    with numpy's own temporaries, which cost no more than scratch views; a
+    block adds its gradient terms to its rows alone there too.
     """
     for name, p in params.items():
         if p.grad is None:
@@ -106,7 +107,7 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     scratch = _Scratch(5)
 
     def update(p, m, v, g, rows, decay, s1=None, s2=None):
-        # g is the whole gradient, or the gradient of ``rows`` when they are given
+        # g is the whole gradient, or the block of ``rows`` when they are given
         # m = m*b1 + (1-b1)*g;  v = v*b2 + ((1-b2)*g)*g
         m *= BETA1
         v *= BETA2
@@ -138,19 +139,18 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         v = state.v[name]
         decay = state.weight_decay != 0.0 and not is_decay_exempt(name)
         if p.data.size <= BLOCK:
-            update(p.data, m, v, p.grad, None, decay)
+            update(p.data, m, v, p.grad, p.grad_rows, decay)
             continue
         hint = p.grad_rows
         live = state.live.get(name)
         if live is not None:  # a dense gradient may move every row, from now on
             live = state.live[name] = None if hint is None else np.union1d(live, hint)
-        for start, (pb, gb, mb, vb) in _blocks(p.data, p.grad, m, v):
+        for start, (pb, mb, vb) in _blocks(p.data, m, v):
             end = start + len(pb)
-            rows = None
+            gb, rows = p.grad[start:end], None
             if hint is not None:
                 lo, hi = np.searchsorted(hint, (start, end))
-                rows = hint[lo:hi] - start
-                gb = gb[rows]
+                gb, rows = p.grad[lo:hi], hint[lo:hi] - start
             kept = None
             if live is not None:
                 lo, hi = np.searchsorted(live, (start, end))
@@ -170,62 +170,56 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
                 whole[kept] = part
 
 
-def _square_sum(g: np.ndarray, lo: int, n: int, rows: np.ndarray | None, width: int, scratch: _Scratch):
-    """The sum of squares of ``g[lo : lo + n]`` as numpy's pairwise sum forms it.
+def _square_sum(block: np.ndarray, rows: np.ndarray, width: int, lo: int, n: int, buf: np.ndarray):
+    """The sum of squares of values ``lo : lo + n`` of the flat dense gradient
+    that ``block`` stands for (its sorted ``rows`` of ``width`` values, zeros
+    elsewhere), as numpy's pairwise sum of the dense squares forms it.
 
     numpy sums a contiguous run of more than 128 values as the sum of its
-    first ``n2 = n//2 - (n//2 % 8)`` values plus the sum of the rest, so a
-    node of at most BLOCK values is one ``.sum()`` of its squares in
-    scratch, and larger nodes split where numpy splits them.  A node that
-    holds none of the hinted ``rows`` (each ``width`` values long) is all
-    zeros and adds an exact +0.0, so it is skipped.  A module-level function,
-    not a nested closure, so no reference cycle keeps ``g`` alive.
+    first ``n2 = n//2 - (n//2 % 8)`` values plus the sum of the rest, so larger
+    nodes split where numpy splits them.  A node that holds none of the rows
+    adds an exact +0.0.  A node of at most BLOCK values is rebuilt in ``buf``,
+    its rows in zeros, and its squares are summed at its own offset.  Not a
+    closure, so no reference cycle keeps ``block`` alive.
     """
-    if rows is not None:
-        first, last = np.searchsorted(rows, (lo // width, (lo + n + width - 1) // width))
-        if first == last:
-            return g.dtype.type(0.0)
+    top, end = lo // width, -(-(lo + n) // width)  # the rows the node overlaps
+    first, last = np.searchsorted(rows, (top, end))
+    if first == last:
+        return block.dtype.type(0.0)
     if n <= BLOCK:
-        part = g[lo : lo + n]
-        (sq,) = scratch.like(part)
-        return np.multiply(part, part, out=sq).sum()
+        node = buf[: (end - top) * width].reshape(-1, width)
+        node.fill(0.0)
+        node[rows[first:last] - top] = block[first:last].reshape(-1, width)
+        part = node.reshape(-1)[lo - top * width : lo - top * width + n]
+        return np.multiply(part, part, out=part).sum()
     half = n // 2
     half -= half % 8
-    return _square_sum(g, lo, half, rows, width, scratch) + _square_sum(g, lo + half, n - half, rows, width, scratch)
+    return _square_sum(block, rows, width, lo, half, buf) + _square_sum(block, rows, width, lo + half, n - half, buf)
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:
-    """sqrt of the sum over gradients of ``float((g * g).sum())``, bit for bit,
-    with no ``g * g`` temporary larger than BLOCK values."""
+    """sqrt of the sum over gradients of ``float((g * g).sum())``, bit for bit;
+    a block is summed as its dense gradient would be, without forming it."""
     total = 0.0
-    scratch = _Scratch(1)
     for p in params.values():
-        g = p.grad
-        if g is None:
-            continue
-        if g.size <= BLOCK or not g.flags.c_contiguous:
+        g, rows = p.grad, p.grad_rows
+        if rows is not None:
+            width = p.data.size // len(p.data)
+            buf = np.empty(min(p.data.size, BLOCK) + 2 * width, g.dtype)
+            total += float(_square_sum(g, rows, width, 0, p.data.size, buf))
+        elif g is not None:
             total += float((g * g).sum())
-        else:
-            total += float(_square_sum(g.reshape(-1), 0, g.size, p.grad_rows, g.size // len(g), scratch))
     return float(np.sqrt(total))
 
 
 def clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so the global norm is at most ``max_norm``.
-
-    A gradient with a ``grad_rows`` hint is zero outside those rows, so only
-    they are scaled.
-    """
+    """Scale all gradients in place so the global norm is at most ``max_norm``."""
     norm = global_grad_norm(params)
     if norm > max_norm:
         factor = max_norm / norm
         for p in params.values():
-            if p.grad is None:
-                continue
-            if p.grad_rows is None:
-                p.grad *= factor
-            else:
-                p.grad[p.grad_rows] *= factor
+            if p.grad is not None:  # in place: assigning ``p.grad`` would drop a block's rows
+                np.multiply(p.grad, factor, out=p.grad)
     return norm
 
 

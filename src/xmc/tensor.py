@@ -19,7 +19,8 @@ A slot keeps the first gradient it is handed, without a copy, and adds later
 ones out of place, as PyTorch's ``AccumulateGrad`` does.  That holds because no
 closure writes into the ``g`` it is handed or into an array it handed on, so
 slots may share an array (``add``, ``add_n``, ``_unbroadcast``).  A tensor
-copies its first gradient into a buffer in data's layout, turning -0.0 into +0.0.
+copies its first dense gradient into a buffer in data's layout, turning -0.0
+into +0.0; the embedding backward hands its weight a block of the rows it touched.
 
 Two global numeric modes exist: fast (float32) and verification (float64 with
 NaN/Inf checking), toggled by :func:`set_verify_mode`.
@@ -79,16 +80,15 @@ class _Slot:
 
 
 class Tensor:
-    """A dense row-major array plus an optional same-shape grad accumulator.
+    """A dense row-major array plus an optional gradient.
 
-    ``grad_rows`` is a hint kept next to the dense gradient: when it is not
-    None, ``grad`` is zero outside those sorted rows of the first axis, so
-    clipping and the optimizer may skip the rest.  Only the embedding backward
-    sets it; assigning ``grad`` or accumulating a dense gradient drops it.
+    While ``grad_rows`` is None, ``grad`` has data's shape.  When it is set,
+    ``grad`` is a block: ``grad[i]`` is the gradient of row ``grad_rows[i]``
+    (sorted, distinct) of the first axis, and every other row's is zero.  Only
+    the embedding backward makes a block; assigning ``grad`` drops ``grad_rows``.
 
-    :meth:`clear_grad` drops the gradient but keeps its buffer, which the next
-    accumulation reuses: a dense gradient overwrites it whole, and a
-    row-hinted one zeroes only the rows the last hint named.
+    :meth:`clear_grad` drops the gradient but keeps a dense one's buffer, which
+    the next dense accumulation overwrites whole.
     """
 
     __slots__ = ("data", "requires_grad", "_grad", "grad_rows", "_spare", "_slot")
@@ -99,7 +99,7 @@ class Tensor:
         self._grad: np.ndarray | None = None
         self.grad_rows: np.ndarray | None = None
         self._slot: _Slot | None = None  # set by _node on a taped output
-        self._spare: tuple[np.ndarray, np.ndarray | None] | None = None  # a cleared buffer and its hint
+        self._spare: np.ndarray | None = None  # a cleared dense gradient's buffer
         if _nan_check and not np.all(np.isfinite(self.data)):
             raise NumericError("non-finite value in tensor")
 
@@ -126,46 +126,51 @@ class Tensor:
         self._spare = None
 
     def clear_grad(self) -> None:
-        """Set ``grad`` to None and keep its buffer for the next accumulation."""
-        if self._grad is not None:
-            self._spare = (self._grad, self.grad_rows)
+        """Set ``grad`` to None and keep a dense gradient's buffer for the next accumulation."""
+        if self.grad_rows is None and self._grad is not None:
+            self._spare = self._grad
         self._grad = None
         self.grad_rows = None
 
     def _accum(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
+        if self.grad_rows is not None:  # a block turns dense: written into zeros, then added to
+            self._grad, self.grad_rows = self._dense_grad(), None
         if self._grad is None:
             # zeros + g in one pass: data's layout and dtype, and -0.0 becomes +0.0
-            self._grad = np.add(g, 0.0, out=self._buffer(zeroed=False))
+            self._grad = np.add(g, 0.0, out=self._buffer())
         else:
             self._grad += g
-        self.grad_rows = None
 
     def _accum_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Add ``values`` to the sorted, distinct ``rows`` of the gradient."""
         if not self.requires_grad:
             return
-        if self._grad is None:
-            self._grad = self._buffer(zeroed=True)
-            self.grad_rows = rows
-        elif self.grad_rows is not None:
-            self.grad_rows = np.union1d(self.grad_rows, rows)
+        if self._grad is None:  # kept as it is: _row_sums adds from 0.0, so it holds no -0.0
+            self._grad, self.grad_rows = values.astype(self.data.dtype, copy=False), rows
+            return
+        if self.grad_rows is not None:  # a second block: both, by union, into zeros
+            union = np.union1d(self.grad_rows, rows)
+            merged = np.zeros((union.size,) + self.data.shape[1:], self.data.dtype)
+            merged[np.searchsorted(union, self.grad_rows)] = self._grad
+            self._grad, self.grad_rows, rows = merged, union, np.searchsorted(union, rows)
         self._grad[rows] += values
 
-    def _buffer(self, zeroed: bool) -> np.ndarray:
-        """A gradient buffer in data's layout and dtype: the cleared one when it
-        still fits ``data`` (verify mode and checkpoint loads swap ``data``)."""
+    def _buffer(self) -> np.ndarray:
+        """A dense gradient buffer in data's layout and dtype: the cleared one when
+        it still fits ``data`` (verify mode and checkpoint loads swap ``data``)."""
         spare, self._spare = self._spare, None
-        if spare is None or spare[0].shape != self.data.shape or spare[0].dtype != self.data.dtype:
-            return np.zeros_like(self.data) if zeroed else np.empty_like(self.data)
-        buf, rows = spare
-        if zeroed:
-            if rows is None:
-                buf.fill(0.0)
-            else:
-                buf[rows] = 0.0
-        return buf
+        if spare is None or spare.shape != self.data.shape or spare.dtype != self.data.dtype:
+            return np.empty_like(self.data)
+        return spare
+
+    def _dense_grad(self) -> np.ndarray:
+        """A new dense array of the gradient, a block written into zeros."""
+        dense = np.zeros_like(self.data)
+        if self._grad is not None:
+            dense[... if self.grad_rows is None else self.grad_rows] = self._grad
+        return dense
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -399,9 +404,8 @@ def _row_sums(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of a leaf ``weight`` by non-negative ``ids``; backward adds
-    only into the gathered rows of ``weight.grad`` and records them in
-    ``weight.grad_rows``."""
+    """Gather rows of a leaf ``weight`` by non-negative ``ids``; backward hands
+    ``weight`` a block of the gathered rows' gradients (``weight.grad_rows``)."""
     ids, row_shape = np.asarray(ids), weight.shape[1:]
 
     def bwd(g: np.ndarray, weight: Tensor) -> None:
@@ -574,7 +578,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
         if loss.size != 1:
             raise ContractError("grad_check requires a scalar loss")
         tape.backward(loss)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+    analytic = [p._dense_grad() for p in params]
 
     worst = 0.0
     for p, an in zip(params, analytic):

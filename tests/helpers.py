@@ -34,6 +34,15 @@ def param(data, rng: np.random.Generator | None = None, scale: float | None = No
     return Tensor(data, requires_grad=True)
 
 
+def dense_grad(p: Tensor) -> np.ndarray | None:
+    """``p``'s gradient with data's shape: a block of rows is written into zeros."""
+    if p.grad is None or p.grad_rows is None:
+        return p.grad
+    dense = np.zeros_like(p.data)
+    dense[p.grad_rows] = p.grad
+    return dense
+
+
 def corpus_datasets(sc: SynthCorpus, max_len: int = 16, min_freq: int = 1):
     """(train, test, vocab) datasets of an in-memory corpus, the vocab built
     from the train text as ``xmc train`` builds it."""

@@ -20,12 +20,12 @@ import xmc.trainer
 from xmc import tensor as t
 from xmc.corpus import batch_iter
 from xmc.optim import (
-    BETA1, BETA2, BLOCK, EPS, OptimizerState, SwaState, _Scratch, _square_sum, adamw_step, clip_grads,
+    BETA1, BETA2, BLOCK, EPS, OptimizerState, SwaState, _square_sum, adamw_step, clip_grads,
     global_grad_norm, is_decay_exempt, swa_update,
 )
 from xmc.trainer import build_micro_problem, init_bundle, train, train_step
 
-from helpers import param, verify_mode
+from helpers import dense_grad, param, verify_mode
 
 # ---------------------------------------------------------------------------
 # whole-array references
@@ -100,10 +100,10 @@ SHAPES = [
     (2100, 96),  # several blocks, not a multiple of the block size
 ]
 
-# gradient kinds: "hinted" gets two embedding backwards (rows hint kept);
-# "mixed" gets a dense term after its embedding backward (hint dropped);
-# "mixed_rev" gets its embedding backward after a dense term; "dense" only
-# dense terms.  The EXEMPT names are a hinted and a dense parameter whose
+# gradient kinds: "hinted" gets two embedding backwards (a block of rows);
+# "mixed" gets a dense term after its embedding backward (the block turns
+# dense); "mixed_rev" gets its embedding backward after a dense term; "dense"
+# only dense terms.  The EXEMPT names are a hinted and a dense parameter whose
 # name leaves is_decay_exempt picks.
 KINDS = ("hinted", "mixed", "mixed_rev", "dense")
 EXEMPT = ("hinted.b", "dense.gamma")
@@ -186,7 +186,7 @@ def test_update_matches_whole_array_reference(shape, max_norm, verify):
             _backward(new, draw, t.embedding)
             _backward(ref, draw, _reference_embedding)
             for name in new:
-                _assert_equal(new[name].grad, ref[name].grad, f"grad {name} step {step}")
+                _assert_equal(dense_grad(new[name]), ref[name].grad, f"grad {name} step {step}")
             for name in ("hinted", "hinted.b"):
                 touched = np.unique(np.concatenate([ids.ravel() for ids, _ in draw[name]]))
                 assert np.array_equal(new[name].grad_rows, touched)
@@ -197,7 +197,7 @@ def test_update_matches_whole_array_reference(shape, max_norm, verify):
             assert norm == _reference_clip_grads(ref, max_norm)
             fired.append(norm > max_norm)
             for name in new:
-                _assert_equal(new[name].grad, ref[name].grad, f"clipped grad {name} step {step}")
+                _assert_equal(dense_grad(new[name]), ref[name].grad, f"clipped grad {name} step {step}")
 
             adamw_step(new, new_opt)
             _reference_adamw_step(ref, ref_opt)
@@ -214,7 +214,7 @@ def test_update_matches_whole_array_reference(shape, max_norm, verify):
 
 
 # ---------------------------------------------------------------------------
-# the rows hint
+# the block of rows
 
 
 def _embedded(weight, ids, g):
@@ -231,7 +231,7 @@ def test_assigning_grad_drops_hint_and_whole_array_is_used():
         _embedded(new["w"], np.array([0, 2, 2]), rng.normal(size=(3, 32)))
         assert np.array_equal(new["w"].grad_rows, [0, 2])
         # a value outside the hinted rows, written by assignment
-        g = new["w"].grad.copy()
+        g = dense_grad(new["w"])
         g[1] = 5.0
         g[-1] = -3.0
         new["w"].grad = g
@@ -277,8 +277,9 @@ def test_two_embedding_calls_sum_like_add_at():
             expected = np.zeros_like(w.data)
             expected += first
             expected += second
-            assert w.grad.tobytes() == expected.tobytes(), f"{order} order, {w.data.dtype}"
             assert np.array_equal(w.grad_rows, np.union1d(ids_a, ids_b))
+            assert w.grad.shape == (len(w.grad_rows), 4)
+            assert dense_grad(w).tobytes() == expected.tobytes(), f"{order} order, {w.data.dtype}"
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +304,13 @@ def test_square_sum_equals_numpy_pairwise_sum(dtype, hint):
             off[kept] = False
             g[off] = 0.0
         expected = (g * g).sum()
-        got = _square_sum(g.reshape(-1), 0, g.size, kept, width, _Scratch(1))
-        assert got.dtype == expected.dtype and got == expected, (rows, width)
         w = t.Tensor(g, requires_grad=True)
         w.grad = g
-        w.grad_rows = kept
+        if kept is not None:  # the block of the kept rows stands for g
+            buf = np.empty(min(g.size, BLOCK) + 2 * width, dtype)
+            got = _square_sum(g[kept], kept, width, 0, g.size, buf)
+            assert got.dtype == expected.dtype and got == expected, (rows, width)
+            w.grad, w.grad_rows = g[kept], kept
         assert global_grad_norm({"w": w}) == float(np.sqrt(float(expected)))
 
 
@@ -389,30 +392,53 @@ def _micro_bundle():
     return config, dataset, init_bundle(config, dataset.vocab.size, bundle.cluster_map)
 
 
-def test_label_gradient_buffer_persists_and_is_zero_off_hint():
+def test_label_gradient_is_a_block_of_its_rows():
     config, dataset, bundle = _micro_bundle()
     emb = bundle.params["discriminator.E"]
+    assert emb.shape == (2100, 64)
+    for batch in list(batch_iter(dataset, config.batch_size, seed=1, epoch=1))[:2]:
+        train_step(batch, bundle, config, b_top=config.b_top)
+        assert emb.grad_rows is not None and 0 < emb.grad_rows.size < len(emb.data)
+        assert emb.grad.shape == (len(emb.grad_rows), 64)
+
+
+def test_dense_leaf_gradient_buffer_persists_across_steps():
+    config, dataset, bundle = _micro_bundle()
+    w_g = bundle.params["generator.W_g"]
     buffers = []
     for batch in list(batch_iter(dataset, config.batch_size, seed=1, epoch=1))[:3]:
         train_step(batch, bundle, config, b_top=config.b_top)
-        assert emb.grad_rows is not None and emb.grad_rows.size
-        off = np.ones(len(emb.data), dtype=bool)
-        off[emb.grad_rows] = False
-        assert np.all(emb.grad[off] == 0.0)
-        buffers.append(emb.grad)
+        assert w_g.grad_rows is None and w_g.grad.shape == w_g.shape
+        buffers.append(w_g.grad)
     assert buffers[0] is buffers[1] is buffers[2]
+
+
+def test_clip_grads_scales_a_block_in_place():
+    w = param((6, 3), np.random.default_rng(2))
+    _embedded(w, np.array([4, 1, 4]), np.full((3, 3), 10.0))
+    block, rows = w.grad, w.grad_rows
+    assert block.shape == (2, 3) and np.array_equal(rows, [1, 4])
+    expected = block * (0.5 / global_grad_norm({"w": w}))
+    clip_grads({"w": w}, 0.5)
+    assert w.grad is block and w.grad_rows is rows
+    assert block.tobytes() == expected.tobytes()
+
+
+def _dense_backward(w, g):
+    with t.record() as tape:
+        tape.backward(t.sum_all(t.mul(w, t.constant(g))))
 
 
 def test_cleared_buffer_is_not_reused_for_other_data():
     w = param((6, 3), np.random.default_rng(2))
-    _embedded(w, np.array([1, 4]), np.ones((2, 3)))
+    _dense_backward(w, np.ones((6, 3)))
     old = w.grad
     w.clear_grad()
     assert w.grad is None and w.grad_rows is None
     w.data = np.zeros((6, 3), dtype=np.float64 if w.data.dtype == np.float32 else np.float32)
-    _embedded(w, np.array([2]), np.ones((1, 3)))
+    _dense_backward(w, np.full((6, 3), 2.0))
     assert w.grad is not old and w.grad.dtype == w.data.dtype
-    assert np.array_equal(w.grad[:, 0], [0, 0, 1, 0, 0, 0])
+    assert np.all(w.grad == 2.0)
 
 
 def test_train_step_leaves_no_reference_cycles():
