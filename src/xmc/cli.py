@@ -213,7 +213,7 @@ def _check_out(flag: str, path_str: str | None, folder: bool = False) -> Path | 
     return path
 
 
-def _require_file(path_str: str | None, what: str) -> Path:
+def _require_file(path_str: str | Path | None, what: str) -> Path:
     if not path_str:
         raise UsageError(f"missing required {what}")
     path = Path(path_str)
@@ -274,21 +274,21 @@ def _check_label_count(path: Path, num_labels: int, train_labels: int) -> None:
 
 
 def _load_run(ckpt_path: Path, b_top: int | None, weights: str, ensemble: bool = False):
-    """(view with the ``--weights`` choice, config, vocab, b_top) from a checkpoint and its
-    sibling manifest; ``b_top`` is the flag's value, else the one the run trained with, in
-    [1, K] for the run's K clusters (an ensemble member clamps a larger one to K)."""
+    """(view with the ``--weights`` choice, config, vocab, b_top) from a checkpoint and the
+    manifest, vocab.txt and clusters.txt beside it, so a run directory may move; ``b_top`` is
+    the flag's value, else the one the run trained with, in [1, K] for the run's K clusters
+    (an ensemble member clamps a larger one to K)."""
     manifest_path = ckpt_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"no manifest.json next to {ckpt_path}")
     config = TrainConfig(**_read_config_file(manifest_path))
-    artifacts = json.loads(read_text(manifest_path)).get("artifacts")
-    if not isinstance(artifacts, dict):
+    if not isinstance(json.loads(read_text(manifest_path)).get("artifacts"), dict):
         raise UsageError(f"{manifest_path}:1: no artifacts object; not a train manifest")
     if b_top is None and config.b_top is None:
         raise UsageError(f"{manifest_path}: b_top is null (the run predates recording it); pass --b-top")
     source, b_top = (manifest_path, config.b_top) if b_top is None else ("--b-top", b_top)
-    vocab = Vocab.load(_require_file(artifacts.get("vocab"), "vocab artifact"))
-    cmap = ClusterMap.load(_require_file(artifacts.get("clusters"), "cluster map artifact"))
+    vocab = Vocab.load(_require_file(ckpt_path.parent / "vocab.txt", "vocab artifact"))
+    cmap = ClusterMap.load(_require_file(ckpt_path.parent / "clusters.txt", "cluster map artifact"))
     if b_top < 1 or (b_top > cmap.num_clusters and not ensemble):
         raise UsageError(f"{source}: b_top={b_top} outside [1, {cmap.num_clusters}]")
     bundle = load_bundle(ckpt_path, config, vocab.size, cmap)

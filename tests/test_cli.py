@@ -244,12 +244,10 @@ def test_malformed_input_exit_2_with_location(tmp_path, corpus_files, trained_ru
     if command == "predict":
         code = main(["predict", "--ckpt", str(trained_run / "final.ckpt"), "--text", str(bad)])
     elif flag == "--ckpt":
-        # predict on a copy of a trained run whose manifest names the damaged vocab
+        # predict on a copy of a trained run whose vocab.txt is the damaged one
         run = tmp_path / "run"
         shutil.copytree(trained_run, run)
-        manifest = json.loads((run / "manifest.json").read_text())
-        manifest["artifacts"]["vocab"] = str(bad)
-        (run / "manifest.json").write_text(json.dumps(manifest))
+        bad = shutil.copyfile(bad, run / "vocab.txt")
         code = main(["predict", "--ckpt", str(run / "final.ckpt"), "--text", str(corpus_files["test_text"])])
     else:
         code = main([command or "train", "--sparse", str(corpus_files["train_sparse"]),
@@ -433,9 +431,6 @@ def test_eval_ensemble_members_share_vocab_and_max_len(tmp_path, trained_run, co
         lines = (member / "vocab.txt").read_text().splitlines()
         lines[1], lines[2] = lines[2], lines[1]  # the same tokens, two ids swapped
         (member / "vocab.txt").write_text("\n".join(lines) + "\n")
-        manifest = json.loads((member / "manifest.json").read_text())
-        manifest["artifacts"]["vocab"] = str(member / "vocab.txt")
-        (member / "manifest.json").write_text(json.dumps(manifest))
     else:
         assert main(["train", "--sparse", str(corpus_files["train_sparse"]), "--text", str(corpus_files["train_text"]),
                      "--out-dir", str(member), *TINY_FLAGS, "--epochs", "0", "--max-len", "8"]) == 0
@@ -444,6 +439,23 @@ def test_eval_ensemble_members_share_vocab_and_max_len(tmp_path, trained_run, co
     assert code == 2
     err = capsys.readouterr().err
     assert f"ensemble member {member / 'final.ckpt'}: " in err and differs in err
+
+
+def test_run_directory_is_read_from_another_cwd_and_after_a_move(tmp_path, corpus_files, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--sparse", str(corpus_files["train_sparse"]), "--text", str(corpus_files["train_text"]),
+                 "--out-dir", "runs/a", *TINY_FLAGS, "--epochs", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path / "runs")
+    outputs = []
+    for run in ("a", "b"):
+        if run == "b":
+            (tmp_path / "runs" / "a").rename(tmp_path / "runs" / "b")
+        assert main(["predict", "--ckpt", f"{run}/final.ckpt", "--text", str(corpus_files["test_text"])]) == 0
+        assert main(["eval", "--ckpt", f"{run}/final.ckpt", "--sparse", str(corpus_files["test_sparse"]),
+                     "--text", str(corpus_files["test_text"])]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "P@1" in outputs[0]
 
 
 def test_predict_manifest_records_the_b_top_it_used(tmp_path, trained_run, corpus_files):
