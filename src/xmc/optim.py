@@ -141,16 +141,16 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         if p.data.size <= BLOCK:
             update(p.data, m, v, p.grad, p.grad_rows, decay)
             continue
-        hint = p.grad_rows
+        touched = p.grad_rows
         live = state.live.get(name)
         if live is not None:  # a dense gradient may move every row, from now on
-            live = state.live[name] = None if hint is None else np.union1d(live, hint)
+            live = state.live[name] = None if touched is None else np.union1d(live, touched)
         for start, (pb, mb, vb) in _blocks(p.data, m, v):
             end = start + len(pb)
             gb, rows = p.grad[start:end], None
-            if hint is not None:
-                lo, hi = np.searchsorted(hint, (start, end))
-                gb, rows = p.grad[lo:hi], hint[lo:hi] - start
+            if touched is not None:
+                lo, hi = np.searchsorted(touched, (start, end))
+                gb, rows = p.grad[lo:hi], touched[lo:hi] - start
             kept = None
             if live is not None:
                 lo, hi = np.searchsorted(live, (start, end))

@@ -306,7 +306,7 @@ def train(
             sum_d += ld
             steps += 1
         for p in bundle.params.values():
-            p.grad = None  # SWA and dev eval run with no gradient block or dense buffer; the next step makes them
+            p.grad = None  # SWA and dev eval hold no gradient block or buffer; the next step makes them anew
         if epoch >= swa_start:
             swa_update(bundle.swa, bundle.params)
         record = {

@@ -352,7 +352,7 @@ def test_dormant_rows_keep_zero_moments_until_a_dense_gradient():
         assert dormant.size > BLOCK // shape[1]  # the dormant rows span more than a block
         for moment in (new_opt.m["w"], new_opt.v["w"]):
             assert np.all(moment[dormant] == 0.0) and not np.any(np.signbit(moment[dormant]))
-    # hinted gradients after the dense one keep every row live
+    # block gradients after the dense one keep every row live
     new["w"].clear_grad()
     _embedded(new["w"], np.array([1, 2]), np.ones((2, shape[1])))
     adamw_step(new, new_opt)
